@@ -20,18 +20,11 @@ Subcommands:
   Chrome trace-event JSON for Perfetto / ``chrome://tracing``;
 * ``profile`` — attribute the simulator's own wall-clock to pipeline
   phases (self-profiling);
-* ``attach`` — live view of a running simulation or service job
-  (``REPRO_LIVE=1`` runs publish telemetry; attach by status-file path,
-  pid, or job id with ``--server``); ``--once --json`` prints one
-  schema-validated snapshot for scripts and CI;
-* ``bench-info`` — show the synthetic suite's characteristics (Table 2);
-* ``serve`` — run the long-lived async sweep job server
-  (:mod:`repro.service`): submit/poll/stream jobs over HTTP, cached
-  results served to many concurrent readers;
-* ``submit`` — submit a sweep to a running server, stream its progress
-  and print the results;
-* ``loadgen`` — hammer a running server with concurrent requests and
-  verify zero server errors plus bit-identical results.
+* ``attach`` — live view of a running simulation or sweep
+  (``REPRO_LIVE=1`` runs publish telemetry; attach by status-file path
+  or pid); ``--once --json`` prints one schema-validated snapshot for
+  scripts and CI;
+* ``bench-info`` — show the synthetic suite's characteristics (Table 2).
 """
 
 from __future__ import annotations
@@ -140,6 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         format_pipeview,
         pipeline_summary,
     )
+    from repro.errors import ConfigError
 
     obs = _make_observability(args)
     uop_log = [] if args.pipeview is not None else None
@@ -148,11 +142,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.config import LiveConfig
         live = (LiveConfig() if args.live is True
                 else LiveConfig(path=args.live))
-    result = run_simulation(args.config, args.benchmark,
-                            max_instructions=args.instructions,
-                            warm=not args.cold, observability=obs,
-                            uop_log=uop_log, sampling=_sampling_arg(args),
-                            checkpoint_every=args.checkpoint, live=live)
+    try:
+        result = run_simulation(args.config, args.benchmark,
+                                max_instructions=args.instructions,
+                                warm=not args.cold, observability=obs,
+                                uop_log=uop_log,
+                                sampling=_sampling_arg(args),
+                                checkpoint_every=args.checkpoint, live=live)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     traces = ([UopTrace.from_uop(uop) for uop in uop_log]
               if uop_log is not None else [])
     if args.json:
@@ -341,7 +340,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = functools.partial(
         run_sweep, jobs, workers=args.workers, cache=cache,
         progress=progress, retries=args.retries, timeout=args.timeout,
-        cosim=False if args.no_cosim else None,
         observer=None if fleet is None else fleet.observe)
     if args.attach:
         report = _attach_sweep(sweep, fleet, progress_out)
@@ -442,17 +440,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_attach(args: argparse.Namespace) -> int:
-    """Attach a live view to a running simulation or service job."""
+    """Attach a live view to a running simulation or sweep."""
     import time
 
     from repro.obs import attach as attach_mod
 
-    server = _parse_server(args.server) if args.server else None
-    try:
-        source = attach_mod.resolve_source(args.target, server=server)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    source = attach_mod.resolve_source(args.target)
     if not args.once:
         return attach_mod.run_tui(source, interval=args.interval)
     deadline = time.monotonic() + args.wait
@@ -461,12 +454,10 @@ def cmd_attach(args: argparse.Namespace) -> int:
         if snapshot is not None:
             break
         if time.monotonic() >= deadline:
-            print(f"no telemetry at {source.describe} — is the run "
+            print(f"no telemetry at {source.path} — is the run "
                   f"using REPRO_LIVE=1?", file=sys.stderr)
-            source.close()
             return 2
         time.sleep(0.2)
-    source.close()
     for problem in problems:
         print(f"schema: {problem}", file=sys.stderr)
     if args.json:
@@ -474,143 +465,6 @@ def cmd_attach(args: argparse.Namespace) -> int:
     else:
         print("\n".join(attach_mod.render_lines(snapshot, [snapshot])))
     return 3 if problems else 0
-
-
-def _parse_server(text: str):
-    """Split a ``HOST:PORT`` (or bare ``HOST`` / ``:PORT``) address."""
-    from repro.service import DEFAULT_HOST, DEFAULT_PORT
-    if ":" in text:
-        host, _, port = text.rpartition(":")
-    else:
-        host, port = text, ""
-    return (host or DEFAULT_HOST,
-            int(port) if port else DEFAULT_PORT)
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the sweep job server until SIGINT/SIGTERM or POST /shutdown."""
-    import asyncio
-    import os
-    import signal
-
-    from repro.experiments.runner import parse_cache_budget
-    from repro.service import DEFAULT_HOST, DEFAULT_PORT
-    from repro.service import ServiceConfig, SweepService
-
-    config = ServiceConfig(
-        host=DEFAULT_HOST if args.host is None else args.host,
-        port=DEFAULT_PORT if args.port is None else args.port,
-        sweep_workers=args.workers,
-        max_active=args.max_active, cache_dir=args.cache_dir,
-        cache_budget=parse_cache_budget(args.budget),
-        journal=not args.no_journal, journal_path=args.journal_path)
-
-    async def main() -> None:
-        service = SweepService(config)
-        await service.start()
-        print(f"repro service listening on "
-              f"http://{config.host}:{service.port} (pid {os.getpid()})",
-              flush=True)
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, service.request_shutdown)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                pass
-        await service.serve_forever()
-        print("repro service stopped", flush=True)
-
-    asyncio.run(main())
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Submit a sweep to a running job server and print its results."""
-    import asyncio
-
-    from repro.experiments.common import (
-        experiment_benchmarks,
-        experiment_length,
-    )
-    from repro.experiments.runner import SweepJob
-    from repro.service import ServiceClient
-    from repro.service.protocol import DONE
-
-    host, port = _parse_server(args.server)
-    benchmarks = args.benchmarks or experiment_benchmarks()
-    length = args.instructions or experiment_length()
-    sampling_config = _sampling_arg(args)
-    sampling = (None if sampling_config is None else
-                (sampling_config.period, sampling_config.unit,
-                 sampling_config.warmup))
-    jobs = [SweepJob(config_name=config, benchmark=bench, length=length,
-                     sampling=sampling)
-            for config in args.configs for bench in benchmarks]
-    progress_out = sys.stderr if args.json else sys.stdout
-
-    async def main():
-        client = ServiceClient(host, port)
-        record = await client.submit(jobs, retries=args.retries,
-                                     timeout=args.timeout)
-        print(f"submitted {record['total']} job(s) as {record['id']} "
-              f"to {host}:{port}", flush=True, file=progress_out)
-        async for event in client.events(record["id"]):
-            if event["type"] == "progress":
-                print(f"  [{event['done']}/{event['total']}] "
-                      f"{event['job']:40} IPC={event['ipc']:.2f}  "
-                      f"({event['seconds']:.1f}s)",
-                      flush=True, file=progress_out)
-        return await client.status(record["id"], results=True)
-
-    final = asyncio.run(main())
-    if args.json:
-        print(json.dumps(final, indent=2, sort_keys=True))
-        return 0 if final["state"] == DONE and not final["failures"] else 1
-    from repro.service.client import result_from_wire
-    rows = []
-    for job, payload in zip(jobs,
-                            final.get("results") or [None] * len(jobs)):
-        if payload is None:
-            rows.append([job.config_name, job.benchmark, "FAILED",
-                         "-", "-", "-", "-"])
-            continue
-        row = _result_row(result_from_wire(payload))
-        rows.append([row[0], job.benchmark] + row[1:])
-    print(format_table(
-        ["front-end", "benchmark", "IPC", "fetch/cyc", "rename/cyc",
-         "util", "cycles"], rows))
-    print()
-    executed = int((final.get("stats") or {}).get("sweep.executed", 0))
-    print("submit summary")
-    print(f"  state         {final['state']}")
-    print(f"  jobs          {final['total']}")
-    print(f"  executed      {executed}")
-    print(f"  cached        {final.get('cached', 0)}")
-    print(f"  failures      {len(final['failures'])}")
-    for failure in final["failures"]:
-        print(f"  FAILED  {failure['job']}: {failure['error_type']}: "
-              f"{failure['message']}")
-    return 0 if final["state"] == DONE and not final["failures"] else 1
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Hammer a running job server and verify the serving guarantees."""
-    import asyncio
-
-    from repro.service.loadgen import run_loadgen
-
-    host, port = _parse_server(args.server)
-    report = asyncio.run(run_loadgen(
-        host=host, port=port, requests=args.requests,
-        concurrency=args.concurrency, configs=args.configs,
-        benchmarks=args.benchmarks, length=args.instructions,
-        seed=args.seed, verify=not args.no_verify,
-        cache_dir=args.cache_dir))
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.format_text())
-    return 0 if report.ok else 1
 
 
 def cmd_bench_info(args: argparse.Namespace) -> int:
@@ -715,10 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: REPRO_SWEEP_WORKERS or CPU count)")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="bypass the on-disk result cache")
-    sweep_p.add_argument("--no-cosim", action="store_true",
-                         help="run grouped jobs back to back instead of "
-                              "co-simulating them over one shared stream "
-                              "(REPRO_COSIM=0 does the same)")
     sweep_p.add_argument("--clear-cache", action="store_true",
                          help="delete every cached result and exit")
     sweep_p.add_argument("--retries", type=int, default=None,
@@ -789,12 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     attach_p = sub.add_parser(
         "attach",
-        help="live view of a running simulation or service job")
+        help="live view of a running simulation or sweep")
     attach_p.add_argument("target",
-                          help="status-file path, pid of a REPRO_LIVE "
-                               "run, or job id (with --server)")
-    attach_p.add_argument("--server", default=None, metavar="HOST:PORT",
-                          help="attach to a job on a running job server")
+                          help="status-file path, or pid of a REPRO_LIVE "
+                               "run or sweep")
     attach_p.add_argument("--once", action="store_true",
                           help="print the newest snapshot and exit "
                                "instead of opening the TUI")
@@ -808,82 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="TUI refresh interval in seconds "
                                "(default 0.5)")
     attach_p.set_defaults(func=cmd_attach)
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the async sweep job server (simulation-as-a-service)")
-    serve_p.add_argument("--host", default=None,
-                         help="bind address (default 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=None,
-                         help="bind port (default 8023; 0 = ephemeral)")
-    serve_p.add_argument("-j", "--workers", type=int, default=None,
-                         help="worker processes per sweep "
-                              "(default: REPRO_SWEEP_WORKERS or CPU count)")
-    serve_p.add_argument("--max-active", type=int, default=2,
-                         help="concurrent sweeps in flight (default 2)")
-    serve_p.add_argument("--cache-dir", default=None,
-                         help="result-cache directory "
-                              "(default: REPRO_CACHE_DIR or .repro_cache)")
-    serve_p.add_argument("--budget", default=None, metavar="BYTES",
-                         help="cache size budget, e.g. 256M "
-                              "(default: REPRO_CACHE_BUDGET or unlimited)")
-    serve_p.add_argument("--no-journal", action="store_true",
-                         help="disable the durable job journal (jobs "
-                              "are forgotten on restart)")
-    serve_p.add_argument("--journal-path", default=None, metavar="PATH",
-                         help="journal file override (default: "
-                              "<cache dir>/service/journal.ndjson)")
-    serve_p.set_defaults(func=cmd_serve)
-
-    submit_p = sub.add_parser(
-        "submit",
-        help="submit a sweep to a running job server")
-    submit_p.add_argument("--server", default="127.0.0.1",
-                          metavar="HOST:PORT",
-                          help="server address (default 127.0.0.1:8023)")
-    submit_p.add_argument("--configs", nargs="+",
-                          default=list(PAPER_CONFIGS), choices=ALL_CONFIGS)
-    submit_p.add_argument("--benchmarks", nargs="+", default=None,
-                          choices=BENCHMARK_NAMES)
-    submit_p.add_argument("-n", "--instructions", type=int, default=None)
-    submit_p.add_argument("--retries", type=int, default=None,
-                          help="server-side retries per failed job")
-    submit_p.add_argument("--timeout", type=float, default=None,
-                          help="server-side per-job timeout in seconds")
-    submit_p.add_argument("--json", action="store_true",
-                          help="emit the final job record as JSON "
-                               "(progress goes to stderr)")
-    _add_sampling_flags(submit_p)
-    submit_p.set_defaults(func=cmd_submit)
-
-    loadgen_p = sub.add_parser(
-        "loadgen",
-        help="fire concurrent requests at a running job server and "
-             "verify the serving guarantees")
-    loadgen_p.add_argument("--server", default="127.0.0.1",
-                           metavar="HOST:PORT",
-                           help="server address (default 127.0.0.1:8023)")
-    loadgen_p.add_argument("--requests", type=int, default=1000,
-                           help="request mix size (default 1000)")
-    loadgen_p.add_argument("--concurrency", type=int, default=64,
-                           help="in-flight request cap (default 64)")
-    loadgen_p.add_argument("--configs", nargs="+",
-                           default=["w16", "tc", "pf-2x8w", "pr-2x8w"],
-                           choices=ALL_CONFIGS)
-    loadgen_p.add_argument("--benchmarks", nargs="+",
-                           default=["gzip", "mcf"],
-                           choices=BENCHMARK_NAMES)
-    loadgen_p.add_argument("-n", "--instructions", type=int, default=4000)
-    loadgen_p.add_argument("--seed", type=int, default=0,
-                           help="request-mix RNG seed (default 0)")
-    loadgen_p.add_argument("--no-verify", action="store_true",
-                           help="skip the serial bit-identity check")
-    loadgen_p.add_argument("--cache-dir", default=None,
-                           help="server cache directory to audit "
-                                "against its budget (local servers)")
-    loadgen_p.add_argument("--json", action="store_true",
-                           help="emit the load report as JSON")
-    loadgen_p.set_defaults(func=cmd_loadgen)
 
     info_p = sub.add_parser("bench-info",
                             help="synthetic suite characteristics")

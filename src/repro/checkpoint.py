@@ -79,8 +79,8 @@ DEFAULT_KEEP = 2
 #: Bump to invalidate on-disk snapshots when captured state changes shape.
 CHECKPOINT_VERSION = 1
 
-#: Process-wide checkpoint observability (thread-safe: the job server's
-#: executor threads run checkpointed simulations concurrently).  Counts
+#: Process-wide checkpoint observability (thread-safe: library callers
+#: may run checkpointed simulations on several threads at once).  Counts
 #: ``checkpoint.stored`` / ``loaded`` / ``resumed`` / ``corrupt`` /
 #: ``fallback`` / ``pruned`` plus the overhead gauges
 #: ``checkpoint.store_seconds`` / ``load_seconds`` / ``bytes`` (so

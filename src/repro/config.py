@@ -318,10 +318,8 @@ ENV_KNOBS: Dict[str, str] = {
     "REPRO_SWEEP_INSTRUCTIONS": "instruction budget for sweep jobs",
     "REPRO_EXPERIMENT_BENCHMARKS": "benchmark subset for experiments",
     "REPRO_SWEEP_WORKERS": "sweep runner worker processes",
-    "REPRO_SWEEP_GROUP": "group stream-sharing sweep jobs per worker "
-                         "(0 = scatter)",
-    "REPRO_COSIM": "co-simulate grouped sweep jobs over one shared "
-                   "stream (0 = per-config serial)",
+    "REPRO_SWEEP_GROUP": "group stream-sharing sweep jobs per worker and "
+                         "co-simulate them (0 = scatter, serial)",
     "REPRO_SWEEP_RETRIES": "sweep job retry attempts",
     "REPRO_SWEEP_BACKOFF": "base delay between sweep job retries",
     "REPRO_JOB_TIMEOUT": "per-job wall-clock timeout in sweeps",
@@ -358,7 +356,6 @@ ENV_KNOBS: Dict[str, str] = {
 #: boolean knobs must be added here to inherit that coverage.
 FLAG_ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_SWEEP_GROUP",
-    "REPRO_COSIM",
     "REPRO_NO_CACHE",
     "REPRO_CHECKPOINT",
     "REPRO_INVARIANT_CHECKS",

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import LiveConfig, ProcessorConfig, frontend_config
 from repro.core.invariants import InvariantChecker
+from repro.errors import ConfigError
 from repro.core.processor import Processor
 from repro.core.uop import MicroOp
 from repro.isa.program import Program
@@ -157,6 +158,33 @@ def _resolve_live(live: Union[None, bool, LiveConfig, LiveTelemetry],
                          config_name=config_name, mode=mode)
 
 
+def _reject_unsupported(mode: str, invariant_checks: Optional[bool],
+                        observability: Optional[Observability],
+                        uop_log: Optional[List[MicroOp]]) -> None:
+    """Raise :class:`ConfigError` for an argument *mode* would ignore.
+
+    The sampled and checkpointed drivers build their own processors:
+    neither fills a uop log or takes the *invariant_checks* override,
+    the checkpointed driver attaches no observability bundle, and the
+    sampled one leaves metrics sampling idle.
+    """
+    if mode == "full":
+        return
+    unsupported = []
+    if uop_log is not None:
+        unsupported.append("uop_log")
+    if invariant_checks:
+        unsupported.append("invariant_checks=True")
+    if observability is not None:
+        if mode == "checkpointed" and observability.enabled:
+            unsupported.append("observability")
+        elif mode == "sampled" and observability.metrics is not None:
+            unsupported.append("observability metrics sampling")
+    if unsupported:
+        raise ConfigError(f"{', '.join(unsupported)} not supported in "
+                          f"{mode} mode")
+
+
 def run_simulation(config: Union[str, ProcessorConfig],
                    benchmark: Union[str, Program],
                    max_instructions: Optional[int] = None,
@@ -197,7 +225,8 @@ def run_simulation(config: Union[str, ProcessorConfig],
             counters under ``obs.*``.
         uop_log: when a list is supplied, every committed
             :class:`~repro.core.uop.MicroOp` is appended to it (the
-            pipeview path; see :mod:`repro.core.trace`).
+            pipeview path; see :mod:`repro.core.trace`).  Full-detail
+            mode only.
         sampling: interval-sampled simulation (SMARTS-style; see
             :mod:`repro.sampling`).  ``None`` defers to ``REPRO_SAMPLE``
             (unset or 0 = full detail), ``False`` forces full detail,
@@ -205,10 +234,11 @@ def run_simulation(config: Union[str, ProcessorConfig],
             the sampling period, and a
             :class:`~repro.sampling.SamplingConfig` gives full control.
             Sampled results are extrapolated estimates carrying
-            ``sampling.*`` confidence counters; ``uop_log`` is ignored
-            in sampled mode, and of the observability pillars the
-            profiler and tracer stay live (``obs.*`` summaries land in
-            the counters) while metrics sampling is idle.
+            ``sampling.*`` confidence counters.  Of the observability
+            pillars the profiler and tracer stay live (``obs.*``
+            summaries land in the counters); ``uop_log``,
+            ``invariant_checks=True`` and a bundle with metrics
+            sampling on raise :class:`~repro.errors.ConfigError`.
         checkpoint_every: durable checkpoint/restore (see
             :mod:`repro.checkpoint`).  ``None`` defers to
             ``REPRO_CHECKPOINT`` (unset or 0 = off), ``0``/``False``
@@ -218,8 +248,10 @@ def run_simulation(config: Union[str, ProcessorConfig],
             is bit-identical to an uninterrupted run with the same
             cadence.  Checkpoint boundaries drain the pipeline, so the
             cadence is part of the run's identity (and of sweep cache
-            keys).  ``observability`` and ``uop_log`` are ignored in
-            checkpointed full-detail mode.
+            keys).  In checkpointed full-detail mode ``uop_log``,
+            ``invariant_checks=True`` and a bundle with any
+            observability pillar on raise
+            :class:`~repro.errors.ConfigError`.
         live: live telemetry (see :mod:`repro.obs.live`): snapshot the
             running pipeline to a status file ``repro attach`` can
             watch.  ``None`` defers to ``REPRO_LIVE*`` (default off),
@@ -234,6 +266,8 @@ def run_simulation(config: Union[str, ProcessorConfig],
         A :class:`SimulationResult` with every counter the models emit.
 
     Raises:
+        ConfigError: an argument the chosen mode cannot honour (see
+            *sampling* and *checkpoint_every*).
         DeadlockError: the pipeline livelocked (no commits for the
             watchdog's stall window) — a simulator bug, not a property
             of the program.
@@ -244,6 +278,12 @@ def run_simulation(config: Union[str, ProcessorConfig],
     from repro.sampling import engine as sampling_engine
     from repro.sampling import prep
 
+    sampling_config = sampling_engine.resolve_sampling(sampling)
+    every = checkpoint.resolve_checkpoint_every(checkpoint_every)
+    mode = ("sampled" if sampling_config is not None
+            else "checkpointed" if every is not None else "full")
+    _reject_unsupported(mode, invariant_checks, observability, uop_log)
+
     resolved_name, processor_config = _resolve_config(config)
     config_name = config_name or resolved_name
     length = (suite.default_sim_instructions() if max_instructions is None
@@ -252,8 +292,6 @@ def run_simulation(config: Union[str, ProcessorConfig],
     oracle = execution.stream
     bench_name = benchmark if isinstance(benchmark, str) else program.name
 
-    sampling_config = sampling_engine.resolve_sampling(sampling)
-    every = checkpoint.resolve_checkpoint_every(checkpoint_every)
     manager = None
     if every is not None:
         stream_fp = prep.stream_fingerprint(stream_key, program)
@@ -272,14 +310,13 @@ def run_simulation(config: Union[str, ProcessorConfig],
             checkpoint_every=every, checkpoint_manager=manager,
             observability=(observability if observability is not None
                            else Observability.from_env()),
-            live=_resolve_live(live, bench_name, config_name, "sampled"))
+            live=_resolve_live(live, bench_name, config_name, mode))
 
     if manager is not None:
-        # Checkpointed full-detail run: observability and the uop log
-        # are ignored (the segment driver steers run_until directly,
-        # like sampled windows do); live telemetry still publishes.
-        live_pub = _resolve_live(live, bench_name, config_name,
-                                 "checkpointed")
+        # Checkpointed full-detail run: the segment driver steers
+        # run_until directly, like sampled windows do, so only live
+        # telemetry publishes (environment observability stays idle).
+        live_pub = _resolve_live(live, bench_name, config_name, mode)
         processor = Processor(processor_config, program, oracle,
                               live=live_pub)
         warm_cb = None
@@ -299,7 +336,7 @@ def run_simulation(config: Union[str, ProcessorConfig],
             counters=processor.stats.as_dict(),
         )
 
-    live_pub = _resolve_live(live, bench_name, config_name, "full")
+    live_pub = _resolve_live(live, bench_name, config_name, mode)
     if observability is None:
         observability = Observability.from_env()
     if invariant_checks is None:

@@ -5,9 +5,10 @@ loses no *completed* work — finished jobs sit in the content-addressed
 :class:`~repro.experiments.runner.ResultCache` — but it used to lose its
 *description*: nothing on disk said which jobs the sweep comprised, so
 "run it again" meant reconstructing the command line.  A manifest
-persists exactly that: the job list (in the service wire form, so one
-serialization covers both layers), the run options, and a completed
-flag, written atomically under ``<cache dir>/sweeps/``.
+persists exactly that: the job list (each :class:`SweepJob` serialized
+field-for-field, :func:`job_to_wire` / :func:`job_from_wire`), the run
+options, and a completed flag, written atomically under
+``<cache dir>/sweeps/``.
 
 ``repro sweep --resume [SWEEP_ID]`` reloads the manifest (the most
 recent incomplete one by default) and re-runs the sweep: completed jobs
@@ -15,8 +16,9 @@ are served from the result cache, and jobs that were in flight restart
 — from their latest durable checkpoint when the sweep was launched with
 ``--checkpoint N`` (see :mod:`repro.checkpoint`), from zero otherwise.
 
-Corrupt manifests (torn writes) are quarantined to ``*.json.corrupt``
-and skipped, the same policy as every other durable artifact here.
+Corrupt manifests (torn writes, or a job entry that fails validation)
+are quarantined to ``*.json.corrupt`` and skipped, the same policy as
+every other durable artifact here.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.experiments.runner import CACHE_DIR_ENV, DEFAULT_CACHE_DIR, SweepJob
-from repro.service.protocol import jobs_from_wire, jobs_to_wire
 
 #: Bump when the manifest format changes incompatibly.
 MANIFEST_SCHEMA_VERSION = 1
@@ -40,6 +41,130 @@ MANIFEST_SCHEMA_VERSION = 1
 
 class ManifestError(ReproError):
     """Raised for a missing or unusable sweep manifest."""
+
+
+_SCALAR = (str, int, float, bool)
+
+
+def job_to_wire(job: SweepJob) -> Dict[str, Any]:
+    """Serialize one :class:`SweepJob` to its JSON form."""
+    payload: Dict[str, Any] = {
+        "config_name": job.config_name,
+        "benchmark": job.benchmark,
+        "length": job.length,
+    }
+    if job.total_l1_storage is not None:
+        payload["total_l1_storage"] = job.total_l1_storage
+    if job.predictor_entries is not None:
+        payload["predictor_entries"] = job.predictor_entries
+    if job.overrides:
+        payload["overrides"] = [[path, value]
+                                for path, value in job.overrides]
+    if not job.warm:
+        payload["warm"] = False
+    if job.label is not None:
+        payload["label"] = job.label
+    if job.sampling is not None:
+        payload["sampling"] = list(job.sampling)
+    if job.checkpoint is not None:
+        payload["checkpoint"] = job.checkpoint
+    return payload
+
+
+def _require(payload: Dict[str, Any], name: str, kinds) -> Any:
+    value = payload.get(name)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ManifestError(
+            f"job field {name!r} missing or mistyped: {value!r}")
+    return value
+
+
+def job_from_wire(payload: Any) -> SweepJob:
+    """Deserialize and validate one job from its JSON form.
+
+    A manifest is read back from disk, so it is outside input: raises
+    :class:`ManifestError` on anything malformed rather than resuming a
+    half-parsed job.
+    """
+    if not isinstance(payload, dict):
+        raise ManifestError(
+            f"job must be an object, got {type(payload).__name__}")
+    unknown = set(payload) - {
+        "config_name", "benchmark", "length", "total_l1_storage",
+        "predictor_entries", "overrides", "warm", "label", "sampling",
+        "checkpoint"}
+    if unknown:
+        raise ManifestError(f"unknown job field(s) {sorted(unknown)}")
+    config_name = _require(payload, "config_name", str)
+    benchmark = _require(payload, "benchmark", str)
+    length = _require(payload, "length", int)
+    if length <= 0:
+        raise ManifestError(f"job length must be positive, got {length}")
+
+    def optional_int(name: str) -> Optional[int]:
+        value = payload.get(name)
+        if value is None:
+            return None
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ManifestError(f"job field {name!r} must be an int")
+        return value
+
+    overrides: List[Tuple[str, Any]] = []
+    for entry in payload.get("overrides") or []:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not isinstance(entry[0], str)
+                or not isinstance(entry[1], _SCALAR)):
+            raise ManifestError(f"malformed override {entry!r} "
+                                "(expected [dotted.path, scalar])")
+        overrides.append((entry[0], entry[1]))
+
+    sampling = payload.get("sampling")
+    if sampling is not None:
+        if (not isinstance(sampling, (list, tuple)) or len(sampling) != 3
+                or not all(isinstance(n, int) and not isinstance(n, bool)
+                           for n in sampling)):
+            raise ManifestError(f"malformed sampling {sampling!r} "
+                                "(expected [period, unit, warmup])")
+        sampling = tuple(sampling)
+
+    checkpoint = optional_int("checkpoint")
+    if checkpoint is not None and checkpoint <= 0:
+        raise ManifestError(
+            f"job checkpoint interval must be positive, got {checkpoint}")
+
+    warm = payload.get("warm", True)
+    if not isinstance(warm, bool):
+        raise ManifestError("job field 'warm' must be a boolean")
+    label = payload.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ManifestError("job field 'label' must be a string")
+
+    return SweepJob(
+        config_name=config_name,
+        benchmark=benchmark,
+        length=length,
+        total_l1_storage=optional_int("total_l1_storage"),
+        predictor_entries=optional_int("predictor_entries"),
+        overrides=tuple(overrides),
+        warm=warm,
+        label=label,
+        sampling=sampling,
+        checkpoint=checkpoint,
+    )
+
+
+def jobs_from_wire(payload: Any) -> List[SweepJob]:
+    """Deserialize a job list (a lone job object counts as one job)."""
+    if isinstance(payload, dict):
+        payload = [payload]
+    if not isinstance(payload, list) or not payload:
+        raise ManifestError("a manifest needs a non-empty 'jobs' list")
+    return [job_from_wire(entry) for entry in payload]
+
+
+def jobs_to_wire(jobs: Sequence[SweepJob]) -> List[Dict[str, Any]]:
+    """Serialize a job list."""
+    return [job_to_wire(job) for job in jobs]
 
 
 def manifest_dir() -> Path:

@@ -19,7 +19,8 @@ machinery the rest of :mod:`repro.experiments` runs on:
   ``(benchmark, length, warm)`` — are grouped onto one worker by
   default (``REPRO_SWEEP_GROUP=0`` disables, ``group_streams=``
   overrides), so each group pays stream emulation and warm-snapshot
-  training once instead of once per scattered worker;
+  training once instead of once per scattered worker, and co-simulates
+  its eligible jobs over one shared stream;
 * :func:`run_job` — the single-job path (disk cache + execute) that the
   in-process memo in :mod:`repro.experiments.common` layers on top of.
 
@@ -88,7 +89,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 GROUP_ENV = "REPRO_SWEEP_GROUP"
-COSIM_ENV = "REPRO_COSIM"
 RETRIES_ENV = "REPRO_SWEEP_RETRIES"
 TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
 BACKOFF_ENV = "REPRO_SWEEP_BACKOFF"
@@ -119,8 +119,8 @@ CRASH_GUARD_SECONDS = 600.0
 
 #: Process-wide accumulation of every sweep's counters (tests and the CLI
 #: read this to verify e.g. that a warm-cache sweep executed nothing).
-#: Thread-safe: the job server merges into it from concurrent executor
-#: threads, and the cache layer bumps it from the serving read path.
+#: Thread-safe: sweeps and cache stores may run on several threads at
+#: once (``repro sweep --attach`` runs its sweep off the main thread).
 SWEEP_STATS = ThreadSafeStatsCollector()
 
 
@@ -443,7 +443,7 @@ class ResultCache:
             text = plan.on_cache_write(job.describe(), text)
         path = self._path(key)
         # Unique per process *and* per in-flight write: concurrent
-        # threads of one server process storing the same key must not
+        # threads of one process storing the same key must not
         # interleave writes into a shared tmp file.
         tmp = path.with_suffix(f".tmp.{os.getpid()}-{next(_TMP_SEQ)}")
         try:
@@ -657,8 +657,7 @@ def _cosim_batch(tasks: Sequence[Tuple[SweepJob, int]]
     return outcomes, savings
 
 
-def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]],
-                     cosim: bool = False
+def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]]
                      ) -> Tuple[List[Tuple], Dict[str, float]]:
     """Worker entry point for a stream-sharing group of jobs.
 
@@ -666,9 +665,9 @@ def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]],
     the group sequentially inside one worker pays oracle-stream emulation
     and warm-snapshot training once for the whole group — the prep caches
     in :mod:`repro.sampling.prep` are process-local, and without grouping
-    each worker a job lands on rebuilds them independently.  With *cosim*
-    on, sub-batches of the group that also share a sampling selector
-    (and do not checkpoint) advance through the stream together in one
+    each worker a job lands on rebuilds them independently.
+    Sub-batches of the group that also share a sampling selector (and
+    do not checkpoint) advance through the stream together in one
     :func:`repro.perf.cosim.run_cosim` call, additionally sharing decode,
     SoA metadata and functional gap fast-forwarding; leftovers run
     per-job.  Fault-injection sweeps never co-simulate — the plan's
@@ -682,7 +681,7 @@ def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]],
     tasks = list(tasks)
     group_stats: Dict[str, float] = {}
     outcomes: List[Optional[Tuple]] = [None] * len(tasks)
-    if cosim and faults.active_plan() is None:
+    if faults.active_plan() is None:
         batches: Dict[Tuple, List[int]] = {}
         for index, (job, _attempt_no) in enumerate(tasks):
             batches.setdefault((job.sampling, job.checkpoint),
@@ -766,24 +765,14 @@ def default_workers() -> int:
 def default_group_streams() -> bool:
     """Whether sweeps group stream-sharing jobs (``REPRO_SWEEP_GROUP``).
 
-    Grouping is on by default; set ``REPRO_SWEEP_GROUP=0`` (or ``false``,
-    ``no``, ``off``) to scatter jobs individually, e.g. when a sweep is
-    dominated by one benchmark and per-job parallelism matters more than
-    shared prep work.
+    Grouping is on by default, and a group's eligible jobs co-simulate.
+    Set ``REPRO_SWEEP_GROUP=0`` (or ``false``, ``no``, ``off``) to
+    scatter jobs individually: nothing is shared or co-simulated, which
+    makes it the serial reference for co-sim parity checks, and suits a
+    sweep dominated by one benchmark where per-job parallelism matters
+    more than shared prep work.
     """
     return env_flag(GROUP_ENV, default=True)
-
-
-def default_cosim() -> bool:
-    """Whether grouped sweeps co-simulate their groups (``REPRO_COSIM``).
-
-    On by default (it only takes effect while stream grouping is on);
-    ``REPRO_COSIM=0`` (or ``false``, ``no``, ``off``) falls back to
-    running each group's jobs back to back serially — the escape hatch
-    if co-simulation is ever suspected of perturbing a result (the
-    parity tests say it cannot).
-    """
-    return env_flag(COSIM_ENV, default=True)
 
 
 def default_retries() -> int:
@@ -952,8 +941,7 @@ def run_sweep(jobs: Sequence[SweepJob],
               backoff: Optional[float] = None,
               observer: Optional[Callable[[str, SweepJob, dict],
                                           None]] = None,
-              group_streams: Optional[bool] = None,
-              cosim: Optional[bool] = None
+              group_streams: Optional[bool] = None
               ) -> SweepReport:
     """Run every job, fanning cache misses out over a process pool.
 
@@ -979,16 +967,17 @@ def run_sweep(jobs: Sequence[SweepJob],
     reported as ``sweep.stream_groups``; a group's wait bound scales
     with its size so grouping cannot starve the per-job *timeout*.
 
-    With grouping on, a group's jobs that also share a sampling selector
-    (and do not checkpoint) are *co-simulated*: one
+    A group's jobs that also share a sampling selector (and do not
+    checkpoint) are *co-simulated*: one
     :func:`repro.perf.cosim.run_cosim` call advances all of their timing
     models over one shared stream, sharing decode, SoA metadata,
-    warm-snapshot training and functional gap fast-forwarding
-    (*cosim*, default from ``REPRO_COSIM``, on unless set falsy; it has
-    no effect while grouping is off).  Co-simulation is bit-identical to
-    running the group's jobs back to back — the parity tests assert
-    it — and its savings surface as ``sweep.cosim_*`` counters in the
-    report.  A failed co-sim batch degrades to per-job inline retries.
+    warm-snapshot training and functional gap fast-forwarding.  With
+    grouping off every group is one job, so nothing co-simulates;
+    ``REPRO_SWEEP_GROUP=0`` is therefore the serial reference.
+    Co-simulation is bit-identical to running the group's jobs back to
+    back — the parity tests assert it — and its savings surface as
+    ``sweep.cosim_*`` counters in the report.  A failed co-sim batch
+    degrades to per-job inline retries.
 
     Execution is fault tolerant: a job whose pool attempt raises, times
     out (*timeout* seconds of wall clock waiting on its result, env
@@ -1043,8 +1032,6 @@ def run_sweep(jobs: Sequence[SweepJob],
 
     group_streams = (default_group_streams() if group_streams is None
                      else group_streams)
-    cosim = ((default_cosim() if cosim is None else bool(cosim))
-             and group_streams)
     groups: List[List[SweepJob]] = []
     if group_streams:
         by_stream: Dict[Tuple[str, int, bool], List[SweepJob]] = {}
@@ -1103,7 +1090,7 @@ def run_sweep(jobs: Sequence[SweepJob],
         for job in group:
             attempts[job] = 1
         outcomes, group_stats = _pool_group_task(
-            [(job, 0) for job in group], cosim)
+            [(job, 0) for job in group])
         fold_group_stats(group_stats)
         for job, outcome in zip(group, outcomes):
             if outcome[0] == "ok":
@@ -1144,8 +1131,7 @@ def run_sweep(jobs: Sequence[SweepJob],
                 handles = [
                     (group,
                      pool.apply_async(_pool_group_task,
-                                      ([(job, 0) for job in group],
-                                       cosim)))
+                                      ([(job, 0) for job in group],)))
                     for group in groups]
                 for group, handle in handles:
                     for job in group:

@@ -1,14 +1,11 @@
-"""``repro attach``: live view of a running simulation or service job.
+"""``repro attach``: live view of a running simulation or sweep.
 
-Two snapshot sources feed the same renderer:
+Snapshots come from :class:`FileSource`, which polls the atomic status
+file a :class:`~repro.obs.live.LiveTelemetry` publisher (or a sweep's
+:class:`~repro.obs.live.SweepFleet`) maintains; attach by path, or by
+pid via the default per-process path.
 
-* :class:`FileSource` — polls the atomic status file a
-  :class:`~repro.obs.live.LiveTelemetry` publisher maintains (attach by
-  path, or by pid via the default per-process path);
-* :class:`ServiceSource` — follows the job server's
-  ``GET /jobs/<id>/metrics`` NDJSON stream (attach by job id).
-
-On top of either source sit two front ends: a curses TUI
+On top of that source sit two front ends: a curses TUI
 (:func:`run_tui`) with occupancy bars, a rolling IPC sparkline, phase
 timings and sampled-mode confidence progress, and a non-interactive
 ``--once`` mode (:func:`snapshot_once`) that prints the newest
@@ -21,9 +18,7 @@ appends to its own status file.
 
 from __future__ import annotations
 
-import json
 import os
-import socket
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
@@ -47,7 +42,6 @@ class FileSource:
 
     def __init__(self, path: str):
         self.path = path
-        self.describe = path
         self._last_seq = -1
 
     def poll(self) -> List[Dict[str, object]]:
@@ -58,65 +52,14 @@ class FileSource:
             self._last_seq = fresh[-1]["seq"]
         return fresh
 
-    def close(self) -> None:
-        """Nothing to release for a file poller."""
 
-
-class ServiceSource:
-    """Snapshots from a job server's ``/jobs/<id>/metrics`` stream.
-
-    A plain blocking socket reading NDJSON lines — the attach CLI has no
-    event loop, and the server heartbeats every 15 s so a stalled read
-    means the server is gone, not idle.
-    """
-
-    def __init__(self, host: str, port: int, record_id: str,
-                 timeout: float = 60.0):
-        self.describe = f"{host}:{port}/jobs/{record_id}"
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        request = (f"GET /jobs/{record_id}/metrics HTTP/1.1\r\n"
-                   f"Host: {host}\r\nConnection: close\r\n\r\n")
-        self._sock.sendall(request.encode())
-        self._file = self._sock.makefile("r", encoding="utf-8")
-        status = self._file.readline()
-        if "200" not in status:
-            raise OSError(f"metrics stream refused: {status.strip()!r}")
-        while self._file.readline().strip():
-            pass  # drain response headers
-
-    def poll(self) -> List[Dict[str, object]]:
-        """Read one snapshot line (blocking up to the socket timeout)."""
-        line = self._file.readline()
-        if not line:
-            return []
-        line = line.strip()
-        if not line:
-            return []
-        try:
-            parsed = json.loads(line)
-        except ValueError:
-            return []
-        return [parsed] if isinstance(parsed, dict) else []
-
-    def close(self) -> None:
-        """Tear the stream connection down."""
-        try:
-            self._file.close()
-            self._sock.close()
-        except OSError:
-            pass
-
-
-def resolve_source(target: str, server: Optional[Tuple[str, int]] = None):
+def resolve_source(target: str) -> FileSource:
     """Build the snapshot source for an attach *target*.
 
-    With *server* set the target is a job id on that server; a target
-    that is all digits is a pid (mapped to that process's run status
-    file, or its sweep status file when only that exists); anything
-    else is a status-file path.
+    A target that is all digits is a pid (mapped to that process's run
+    status file, or its sweep status file when only that exists);
+    anything else is a status-file path.
     """
-    if server is not None:
-        return ServiceSource(server[0], server[1], target)
     if target.isdigit():
         run_path = default_path(int(target))
         sweep_path = default_sweep_path(int(target))
@@ -126,10 +69,11 @@ def resolve_source(target: str, server: Optional[Tuple[str, int]] = None):
     return FileSource(target)
 
 
-def snapshot_once(source) -> Tuple[Optional[Dict[str, object]], List[str]]:
+def snapshot_once(source: FileSource
+                  ) -> Tuple[Optional[Dict[str, object]], List[str]]:
     """One poll: the newest snapshot (or None) and its schema problems.
 
-    Service-job snapshots have their own shape (fleet progress, not
+    Sweep fleet snapshots have their own shape (fleet progress, not
     pipeline gauges), so only simulation snapshots — recognised by their
     ``gauges`` key — go through the full schema validator.
     """
@@ -169,8 +113,8 @@ def render_lines(snapshot: Dict[str, object],
 
     Shared by the curses TUI and the ``--follow``-style plain renderer,
     and unit-testable without a terminal.  Fleet-shaped snapshots (a
-    sweep's or a service job's — recognised by ``jobs_done``) get the
-    fleet table instead of the pipeline panels.
+    sweep's, recognised by ``jobs_done``) get the fleet table instead of
+    the pipeline panels.
     """
     if "jobs_done" in snapshot:
         return render_fleet_lines(snapshot, history, width=width)
@@ -241,17 +185,15 @@ def render_lines(snapshot: Dict[str, object],
 def render_fleet_lines(snapshot: Dict[str, object],
                        history: List[Dict[str, object]],
                        width: int = 78) -> List[str]:
-    """Format one fleet snapshot (a sweep or a service job) as text.
+    """Format one sweep fleet snapshot as text.
 
-    Used for ``repro sweep --attach``, for attaching to a sweep's
-    status file, and for service-job metrics streams — all of which
-    carry the same fleet keys (``jobs_done``, ``cache_hits``,
-    ``retries``, cumulative ``committed``); per-job rows appear when
-    the snapshot carries a ``jobs`` tail (sweeps do, service jobs
-    summarise remotely).
+    Used for ``repro sweep --attach`` and for attaching to a sweep's
+    status file.  Fleet snapshots carry ``jobs_done``, ``cache_hits``,
+    ``retries`` and cumulative ``committed``; per-job rows come from
+    the snapshot's ``jobs`` tail.
     """
     lines: List[str] = []
-    label = snapshot.get("tag") or snapshot.get("id") or "?"
+    label = snapshot.get("tag") or "?"
     state = snapshot.get("state", "?")
     wall = snapshot.get("wall", 0.0)
     lines.append(f"fleet {label}  [{state}]"
@@ -289,7 +231,7 @@ def render_fleet_lines(snapshot: Dict[str, object],
     return [line[:width] for line in lines]
 
 
-def run_tui(source, interval: float = 0.5) -> int:
+def run_tui(source: FileSource, interval: float = 0.5) -> int:
     """Curses front end: redraw until the run finishes or 'q' quits."""
     import curses
 
@@ -308,7 +250,7 @@ def run_tui(source, interval: float = 0.5) -> int:
             if latest is None:
                 waited += interval
                 stdscr.addstr(0, 0, f"waiting for telemetry from "
-                                    f"{source.describe} ({waited:.0f}s)"
+                                    f"{source.path} ({waited:.0f}s)"
                                     f" — is the run using REPRO_LIVE=1?")
             else:
                 lines = render_lines(latest, list(history),
@@ -328,7 +270,4 @@ def run_tui(source, interval: float = 0.5) -> int:
                 return 0
             time.sleep(interval)
 
-    try:
-        return curses.wrapper(loop)
-    finally:
-        source.close()
+    return curses.wrapper(loop)

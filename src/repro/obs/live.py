@@ -278,8 +278,7 @@ class SweepFleet:
 
     Fed from :func:`~repro.experiments.runner.run_sweep`'s ``progress``
     and ``observer`` hooks and published with the same atomic NDJSON
-    discipline as :class:`LiveTelemetry`, but fleet-shaped — the same
-    keys the job server's ``/jobs/<id>/metrics`` stream carries
+    discipline as :class:`LiveTelemetry`, but fleet-shaped
     (``jobs_done``, ``cache_hits``, ``retries``, cumulative
     ``committed``...) plus a short per-job tail for the attach table.
     Thread-safe: sweeps drive their hooks from whatever thread runs

@@ -23,8 +23,9 @@ Everything config-dependent — predictors, rename state, window, caches'
 *contents*, stats — stays strictly per sibling, so results (counters
 included) are bit-identical to serial per-config runs in full-detail,
 obs-on and sampled modes; the parity tests assert it.  The sweep runner
-(:mod:`repro.experiments.runner`) turns a stream group into one co-sim
-batch when ``REPRO_COSIM`` is on (the default while grouping is on).
+(:mod:`repro.experiments.runner`) turns each stream group's eligible
+jobs into one co-sim batch; ``REPRO_SWEEP_GROUP=0`` leaves every group
+a single job, so nothing co-simulates.
 
 Like :mod:`repro.perf.bench`, the heavyweight simulator imports are
 deferred into the functions: ``repro.core.processor`` imports this

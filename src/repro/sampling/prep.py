@@ -52,9 +52,9 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Process-wide prep-cache observability (thread-safe: the job server's
-#: executor threads run simulations — and therefore prep-cache loads —
-#: concurrently).  ``prep.stream_corrupt`` counts quarantined bundles;
+#: Process-wide prep-cache observability (thread-safe: library callers
+#: may run simulations — and therefore prep-cache loads — on several
+#: threads at once).  ``prep.stream_corrupt`` counts quarantined bundles;
 #: ``prep.snapshot_trains`` / ``prep.snapshot_hits`` count warm-snapshot
 #: builds versus clones served from the in-process cache (grouped sweeps
 #: drive the hit rate up — see ``REPRO_SWEEP_GROUP``).

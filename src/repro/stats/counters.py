@@ -9,8 +9,8 @@ Thread-safety: :class:`StatsCollector` is deliberately lock-free — every
 per-simulation collector is confined to the thread (or pool worker
 process) running that simulation, and a lock in ``add`` would tax the
 simulator's hottest path.  Collectors that *are* shared across threads —
-the process-wide ``SWEEP_STATS`` accumulator, the job server's service
-counters — must use :class:`ThreadSafeStatsCollector`, whose mutators
+the process-wide ``SWEEP_STATS``, ``PREP_STATS`` and ``CHECKPOINT_STATS``
+accumulators — must use :class:`ThreadSafeStatsCollector`, whose mutators
 and snapshot reads hold a lock (``value += amount`` is a read-modify-
 write, so concurrent ``add`` calls on the plain class lose updates).
 """
@@ -163,8 +163,8 @@ class ThreadSafeStatsCollector(StatsCollector):
     Single-value reads (:meth:`StatsCollector.get`) stay lock-free —
     reading one float is atomic under the GIL.
 
-    Use this for collectors shared across threads (the sweep runner's
-    process-wide ``SWEEP_STATS``, the job server's service counters);
+    Use this for collectors shared across threads (the process-wide
+    ``SWEEP_STATS``, ``PREP_STATS`` and ``CHECKPOINT_STATS``);
     per-simulation collectors stay on the lock-free base class because
     they are thread-confined and ``add`` sits on the simulator hot path.
     """

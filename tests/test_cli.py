@@ -48,29 +48,6 @@ class TestParser:
                                           "--pipeview=8"])
         assert args.pipeview == 8
 
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host is None and args.port is None
-        assert args.max_active == 2 and args.budget is None
-
-    def test_submit_defaults(self):
-        args = build_parser().parse_args(["submit"])
-        assert args.server == "127.0.0.1"
-        assert "w16" in args.configs and not args.json
-
-    def test_submit_server_parsing(self):
-        from repro.__main__ import _parse_server
-        from repro.service import DEFAULT_HOST, DEFAULT_PORT
-
-        assert _parse_server("10.0.0.9:9000") == ("10.0.0.9", 9000)
-        assert _parse_server("10.0.0.9") == ("10.0.0.9", DEFAULT_PORT)
-        assert _parse_server(":9000") == (DEFAULT_HOST, 9000)
-
-    def test_loadgen_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.requests == 1000 and args.concurrency == 64
-        assert not args.no_verify and args.seed == 0
-
     def test_trace_defaults(self):
         args = build_parser().parse_args(["trace", "pr-2x8w", "gzip"])
         assert args.output == "repro-trace.json"
@@ -175,6 +152,22 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "gauge" in out and "window.used" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--sampled", "4", "--pipeview", "5"],
+        ["--sampled", "4", "--sample", "50"],
+        ["--checkpoint", "2000", "--pipeview", "5"],
+        ["--checkpoint", "2000", "--sample", "50"],
+    ], ids=["sampled-pipeview", "sampled-sample", "checkpoint-pipeview",
+            "checkpoint-sample"])
+    def test_run_rejects_flag_the_mode_ignores(self, capsys, monkeypatch,
+                                               tmp_path, flags):
+        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
+        assert main(["run", "pr-2x8w", "gzip", "-n", "6000"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "mode" in captured.err
+
     def test_trace_writes_valid_chrome_json(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
         assert main(["trace", "pr-2x8w", "gzip", "-n", "1500",
@@ -216,13 +209,6 @@ class TestDurableSweepCli:
         args = build_parser().parse_args(["run", "w16", "gzip",
                                           "--checkpoint", "500"])
         assert args.checkpoint == 500
-
-    def test_parser_serve_journal_flags(self):
-        args = build_parser().parse_args(["serve"])
-        assert not args.no_journal and args.journal_path is None
-        args = build_parser().parse_args(["serve", "--no-journal",
-                                          "--journal-path", "j.ndjson"])
-        assert args.no_journal and args.journal_path == "j.ndjson"
 
     def test_sweep_writes_manifest_and_resumes(self, capsys, tmp_path,
                                                monkeypatch):

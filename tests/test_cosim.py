@@ -9,7 +9,7 @@ result — counters included — must equal the serial
 and sampled modes, and damaging one sibling's private state must never
 leak into another's result.  The sweep runner's integration (grouped
 jobs become one co-sim batch) must likewise leave reports bit-identical
-with or without grouping and co-simulation.
+with or without grouping.
 """
 
 import pytest
@@ -177,7 +177,6 @@ class TestSweepIntegration:
         from repro import faults
         monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
         monkeypatch.delenv("REPRO_SWEEP_GROUP", raising=False)
-        monkeypatch.delenv("REPRO_COSIM", raising=False)
 
     def make_jobs(self, sampling=None):
         from repro.experiments.runner import SweepJob
@@ -195,24 +194,21 @@ class TestSweepIntegration:
 
     @pytest.mark.parametrize("sampling", (None, (4, 400, 400)),
                              ids=("full", "sampled"))
-    def test_three_way_report_identity(self, sampling):
+    def test_grouped_report_identity(self, sampling):
         jobs = self.make_jobs(sampling)
         ungrouped = self.run(jobs, workers=1, group_streams=False)
-        grouped = self.run(jobs, workers=1, group_streams=True,
-                           cosim=False)
-        cosim = self.run(jobs, workers=1, group_streams=True, cosim=True)
+        grouped = self.run(jobs, workers=1, group_streams=True)
         for job in jobs:
-            expected = result_tuple(ungrouped.results[job])
-            assert result_tuple(grouped.results[job]) == expected
-            assert result_tuple(cosim.results[job]) == expected
-        assert cosim.stats.get("sweep.cosim_groups") == 2
-        assert cosim.stats.get("sweep.cosim_jobs") == len(jobs)
-        assert grouped.stats.get("sweep.cosim_groups") == 0
+            assert (result_tuple(grouped.results[job])
+                    == result_tuple(ungrouped.results[job]))
+        assert grouped.stats.get("sweep.cosim_groups") == 2
+        assert grouped.stats.get("sweep.cosim_jobs") == len(jobs)
+        assert ungrouped.stats.get("sweep.cosim_groups") == 0
 
     def test_pool_path_identity_and_savings(self):
         jobs = self.make_jobs()
         serial = self.run(jobs, workers=1, group_streams=False)
-        pooled = self.run(jobs, workers=2, group_streams=True, cosim=True)
+        pooled = self.run(jobs, workers=2, group_streams=True)
         for job in jobs:
             assert (result_tuple(pooled.results[job])
                     == result_tuple(serial.results[job]))
@@ -222,39 +218,23 @@ class TestSweepIntegration:
             assert pooled.stats.get("sweep.cosim_groups") == 2
             assert pooled.stats.get("sweep.cosim_shared_decode") > 0
 
-    def test_cosim_env_knob_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COSIM", "0")
-        jobs = self.make_jobs()[:4]
-        report = self.run(jobs, workers=1, group_streams=True)
-        assert report.stats.get("sweep.cosim_groups") == 0
-
     def test_checkpointed_jobs_not_cosimulated(self):
         from repro.experiments.runner import SweepJob
         jobs = [SweepJob(config_name=name, benchmark="gzip",
                          length=self.JOBS_LENGTH, checkpoint=1000)
                 for name in CONFIGS[:2]]
-        report = self.run(jobs, workers=1, group_streams=True, cosim=True)
+        report = self.run(jobs, workers=1, group_streams=True)
         assert report.stats.get("sweep.cosim_groups") == 0
         assert len(report.results) == len(jobs)
 
     def test_summary_reports_cosim_lines(self):
         jobs = self.make_jobs()[:4]
-        report = self.run(jobs, workers=1, group_streams=True, cosim=True)
+        report = self.run(jobs, workers=1, group_streams=True)
         summary = report.summary()
         assert "cosim groups  1 (4 jobs)" in summary
         assert "cosim shared  decode=" in summary
-        without = self.run(jobs, workers=1, group_streams=True,
-                           cosim=False)
+        without = self.run(jobs, workers=1, group_streams=False)
         assert "cosim" not in without.summary()
-
-
-class TestCli:
-    def test_sweep_accepts_no_cosim(self):
-        from repro.__main__ import build_parser
-        args = build_parser().parse_args(["sweep", "--no-cosim"])
-        assert args.no_cosim is True
-        args = build_parser().parse_args(["sweep"])
-        assert args.no_cosim is False
 
 
 class TestSharedStreamGuard:

@@ -61,11 +61,6 @@ def _probe_sweep_group() -> bool:
     return default_group_streams()
 
 
-def _probe_cosim() -> bool:
-    from repro.experiments.runner import default_cosim
-    return default_cosim()
-
-
 def _probe_no_cache() -> bool:
     # Inverted knob: REPRO_NO_CACHE enabled means caching is OFF.
     from repro.experiments.runner import ResultCache
@@ -109,7 +104,6 @@ def _probe_fast() -> bool:
 
 PROBES = {
     "REPRO_SWEEP_GROUP": _probe_sweep_group,
-    "REPRO_COSIM": _probe_cosim,
     "REPRO_NO_CACHE": _probe_no_cache,
     "REPRO_CHECKPOINT": _probe_checkpoint,
     "REPRO_INVARIANT_CHECKS": _probe_invariants,

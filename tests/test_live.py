@@ -1,8 +1,7 @@
 """Tests for live telemetry and attach (:mod:`repro.obs.live`,
 :mod:`repro.obs.attach`) plus the observability satellites that ride
-along: the service metrics stream, sweep fleet telemetry, checkpoint
-timing counters, loadgen latency percentiles, and the phase profiler
-under the interval-sampled engine.
+along: sweep fleet telemetry, checkpoint timing counters, and the phase
+profiler under the interval-sampled engine.
 
 The load-bearing property throughout: telemetry is read-only — a run
 with a publisher attached is bit-identical (cycles, committed and every
@@ -10,7 +9,6 @@ counter) to the same run without one, in full-detail, sampled and
 checkpointed modes alike.
 """
 
-import asyncio
 import json
 import os
 
@@ -392,76 +390,6 @@ class TestAttachCli:
                      "--once", "--json"]) == 2
 
 
-def _with_service(tmp_path, scenario, **config_kwargs):
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceConfig, SweepService
-
-    config_kwargs.setdefault("sweep_workers", 1)
-    config_kwargs.setdefault("cache_dir", str(tmp_path / "svc_cache"))
-
-    async def main():
-        service = SweepService(ServiceConfig(port=0, **config_kwargs))
-        await service.start()
-        client = ServiceClient(port=service.port, timeout=120.0)
-        try:
-            return await scenario(service, client)
-        finally:
-            service.request_shutdown()
-            await service.serve_forever()
-
-    return asyncio.run(main())
-
-
-class TestServiceMetrics:
-    def test_stream_is_monotonic_and_terminal(self, tmp_path):
-        from repro.experiments.runner import SweepJob
-
-        async def scenario(service, client):
-            jobs = [SweepJob(CONFIG, BENCH, 400),
-                    SweepJob(CONFIG, "vortex", 400)]
-            record = await client.submit(jobs)
-            snapshots = []
-            async for snapshot in client.metrics(record["id"]):
-                snapshots.append(snapshot)
-            return snapshots
-
-        snapshots = _with_service(tmp_path, scenario)
-        assert snapshots
-        seqs = [s["seq"] for s in snapshots]
-        assert seqs == list(range(len(seqs)))
-        committed = [s["committed"] for s in snapshots]
-        assert committed == sorted(committed)
-        assert committed[-1] > 0
-        final = snapshots[-1]
-        assert final["state"] == "done"
-        assert final["jobs_total"] == 2
-        assert final["jobs_done"] + final["cache_hits"] == 2
-        assert final["jobs_failed"] == 0
-
-    def test_unknown_job_404(self, tmp_path):
-        from repro.service.client import ServiceError
-
-        async def scenario(service, client):
-            with pytest.raises(ServiceError) as info:
-                async for _ in client.metrics("no-such-id"):
-                    pass
-            return info.value.status
-
-        assert _with_service(tmp_path, scenario) == 404
-
-    def test_stats_gauges(self, tmp_path):
-        async def scenario(service, client):
-            return await client.stats()
-
-        stats = _with_service(tmp_path, scenario, max_active=3)
-        gauges = stats["gauges"]
-        assert gauges["queue_depth"] == 0
-        assert gauges["executor"]["max"] == 3
-        assert 0.0 <= gauges["executor"]["utilization"] <= 1.0
-        assert "cache_hit_rate" in gauges
-        assert "lag_seconds" in gauges["journal"]
-
-
 class TestCheckpointTimers:
     def test_store_and_load_timed(self, tmp_path, monkeypatch):
         from repro.checkpoint import CHECKPOINT_STATS
@@ -492,26 +420,6 @@ class TestCheckpointTimers:
         before = CHECKPOINT_STATS.get("checkpoint.load_seconds")
         assert manager.latest() is not None
         assert CHECKPOINT_STATS.get("checkpoint.load_seconds") > before
-
-
-class TestLoadReportPercentiles:
-    def test_percentiles_in_dict_and_text(self):
-        from repro.service.loadgen import LoadReport
-        report = LoadReport()
-        report.latencies = [i / 1000.0 for i in range(1, 101)]
-        data = report.to_dict()
-        assert data["latency_p50_ms"] == pytest.approx(50.0, abs=2.0)
-        assert data["latency_p95_ms"] == pytest.approx(95.0, abs=2.0)
-        assert data["latency_p99_ms"] == pytest.approx(99.0, abs=2.0)
-        assert data["latency_max_ms"] == pytest.approx(100.0, abs=1.0)
-        assert data["latency_p50_ms"] <= data["latency_p95_ms"] \
-            <= data["latency_p99_ms"] <= data["latency_max_ms"]
-        text = report.format_text()
-        assert "latency_p99_ms" in text
-
-    def test_empty_latencies(self):
-        from repro.service.loadgen import LoadReport
-        assert LoadReport().to_dict()["latency_p99_ms"] == 0.0
 
 
 class TestProfilerUnderSampledEngine:

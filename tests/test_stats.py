@@ -161,8 +161,8 @@ class TestTables:
 
 
 class TestThreadSafeStatsCollector:
-    """The cross-thread collector variant the job server, SWEEP_STATS
-    and PREP_STATS use (plain StatsCollector stays lock-free for the
+    """The cross-thread collector variant SWEEP_STATS, PREP_STATS and
+    CHECKPOINT_STATS use (plain StatsCollector stays lock-free for the
     thread-confined per-simulation hot path)."""
 
     THREADS = 8
