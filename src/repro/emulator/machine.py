@@ -15,7 +15,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import EmulationError
-from repro.emulator.stream import DynamicInstruction, ExecutionResult
+from repro.emulator.stream import (
+    DynamicInstruction,
+    ExecutionResult,
+    gc_paused,
+)
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import STACK_BASE, WORD_BYTES, Program
 from repro.isa.registers import (
@@ -89,15 +93,17 @@ class Machine:
 
         Stops early if the program executes a ``halt``.  Programs used for
         experiments typically loop far longer than any simulation length,
-        so truncation (not halting) is the normal outcome.
+        so truncation (not halting) is the normal outcome.  Runs with the
+        cyclic collector paused (:func:`~repro.emulator.stream.gc_paused`).
         """
         stream: List[DynamicInstruction] = []
         append = stream.append
         step = self.step
-        for _ in range(max_instructions):
-            if self.halted:
-                break
-            append(step())
+        with gc_paused():
+            for _ in range(max_instructions):
+                if self.halted:
+                    break
+                append(step())
         return ExecutionResult(stream, list(self.outputs), self.halted)
 
     # -- semantics -----------------------------------------------------------

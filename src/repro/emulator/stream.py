@@ -5,13 +5,21 @@ of :class:`DynamicInstruction` records — the *oracle stream*.  The timing
 model consumes this stream as the definition of the correct execution path
 and uses the per-record ``next_pc`` to redirect fetch after branch
 mispredictions resolve.
+
+:func:`encode_stream` and :func:`decode_stream` convert a stream to and
+from :class:`PackedStream`, the columnar form the on-disk stream bundles
+store (see :mod:`repro.sampling.prep`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import gc
+from array import array
+from contextlib import contextmanager
+from typing import Iterator, List, NamedTuple, Optional
 
 from repro.isa.instructions import Instruction
+from repro.isa.program import Program
 
 
 class DynamicInstruction:
@@ -62,3 +70,98 @@ class ExecutionResult:
         status = "halted" if self.halted else "truncated"
         return (f"ExecutionResult({len(self.stream)} insts, "
                 f"{len(self.outputs)} outputs, {status})")
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector around a bulk build of records.
+
+    Stream records are acyclic and live as long as their stream, so the
+    collector's passes while a stream is built free nothing: they only
+    re-walk the records built so far.  Reference counting frees garbage
+    as usual meanwhile.  The caller's state is restored: the collector
+    is re-enabled only if it was enabled on entry.  The state is
+    process-wide, so when threads pause it at once it is back on as
+    soon as the thread that paused it first leaves.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class PackedStream(NamedTuple):
+    """An :class:`ExecutionResult` as columns, one entry per record.
+
+    The address columns are unsigned arrays (see :func:`_address_column`).
+    ``inst`` is not stored: it is the program's instruction at ``pc``,
+    and ``index`` is the record's position.
+    """
+
+    pc: array
+    next_pc: array
+    #: 1 where the record's ``taken`` is true, else 0.
+    taken: bytes
+    #: The effective address, 0 where ``has_ea`` is 0.
+    ea: array
+    #: 1 where the record has an effective address, 0 where it is None.
+    has_ea: bytes
+    outputs: List[int]
+    halted: bool
+
+
+def _address_column(values: List[int]) -> array:
+    """*values* as a 32-bit unsigned array when they all fit, else as a
+    64-bit one, which holds every address the emulator produces (it
+    wraps addresses to 64 bits)."""
+    try:
+        return array("I", values)
+    except OverflowError:
+        return array("Q", values)
+
+
+def encode_stream(result: ExecutionResult) -> PackedStream:
+    """Pack *result* into columns; :func:`decode_stream` inverts it.
+
+    The records must be numbered by position, as :meth:`Machine.run
+    <repro.emulator.machine.Machine.run>` on a fresh machine numbers
+    them.
+    """
+    stream = result.stream
+    if stream and (stream[0].index != 0
+                   or stream[-1].index != len(stream) - 1):
+        raise ValueError("stream records are not numbered by position")
+    return PackedStream(
+        pc=_address_column([record.pc for record in stream]),
+        next_pc=_address_column([record.next_pc for record in stream]),
+        taken=bytes([record.taken for record in stream]),
+        ea=_address_column([record.ea or 0 for record in stream]),
+        has_ea=bytes([record.ea is not None for record in stream]),
+        outputs=list(result.outputs),
+        halted=result.halted)
+
+
+def decode_stream(program: Program, packed: PackedStream) -> ExecutionResult:
+    """Rebuild the stream :func:`encode_stream` packed, field for field.
+
+    Each record's ``inst`` is ``program.inst_at(pc)`` — *program*'s own
+    instruction object, as in emulation, so decode-cache identity
+    holds.  Raises ``ValueError`` when the columns disagree in length and
+    :class:`~repro.errors.ReproError` when a PC lies outside *program*'s
+    text segment.
+    """
+    pcs = packed.pc
+    count = len(pcs)
+    columns = (packed.next_pc, packed.taken, packed.ea, packed.has_ea)
+    if any(len(column) != count for column in columns):
+        raise ValueError("stream columns disagree in length")
+    with gc_paused():
+        eas = [ea if present else None
+               for ea, present in zip(packed.ea, packed.has_ea)]
+        stream = list(map(DynamicInstruction, range(count),
+                          map(program.inst_at, pcs), pcs, packed.next_pc,
+                          map(bool, packed.taken), eas))
+    return ExecutionResult(stream, list(packed.outputs), bool(packed.halted))

@@ -34,7 +34,11 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.config import ProcessorConfig, env_flag
 from repro.emulator.machine import Machine
-from repro.emulator.stream import ExecutionResult
+from repro.emulator.stream import (
+    ExecutionResult,
+    decode_stream,
+    encode_stream,
+)
 from repro.frontend.trace_cache import TraceCache
 from repro.isa.program import Program
 from repro.memory.hierarchy import MemoryHierarchy
@@ -62,6 +66,12 @@ PREP_STATS = ThreadSafeStatsCollector()
 
 #: Bump to invalidate on-disk streams when the emulator/ISA changes shape.
 STREAM_CACHE_VERSION = 1
+
+#: File suffix of an on-disk stream bundle, ``{name}-{digest}-{length}``
+#: plus this.  The superseded format (one pickled object per record)
+#: used ``.pkl``; its files are never read, and storing a stream deletes
+#: that stream's ones.
+BUNDLE_SUFFIX = ".cols"
 
 #: A stream identity: ("bench", name, stream length) for suite
 #: benchmarks, ("program", id, stream length) for ad-hoc programs.
@@ -101,17 +111,26 @@ def _stream_digest(name: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
+def _bundle_length(path: Path, prefix: str) -> Optional[int]:
+    """The requested length in a bundle file name, None if malformed."""
+    try:
+        return int(path.name[len(prefix):-len(BUNDLE_SUFFIX)])
+    except ValueError:
+        return None
+
+
 def _load_stream_from_disk(name: str, length: int) -> Optional[int]:
     """Seed the suite's in-process caches from the on-disk prep cache.
 
-    Each entry bundles the decoded program *with* its oracle stream —
-    pickled together so the stream's records reference the program's
-    own instruction objects, exactly as a fresh generate+emulate would.
-    Returns the requested-length of the loaded entry (the shortest
-    cached stream covering *length*), or None on a miss.  A corrupt
-    bundle (torn write, pickle drift, hand-edit) is quarantined to
-    ``<bundle>.pkl.corrupt`` and counted as ``prep.stream_corrupt`` —
-    the same policy as the result cache, and unlike a silent unlink it
+    Each bundle holds the pickled program plus its oracle stream packed
+    by :func:`~repro.emulator.stream.encode_stream`; decoding binds the
+    records to the bundled program's own instruction objects, exactly
+    as a fresh generate+emulate would.  Returns the requested-length of
+    the loaded entry (the shortest cached stream covering *length*), or
+    None on a miss.  A corrupt bundle (torn write, pickle drift,
+    hand-edit, columns that do not fit the program) is quarantined to
+    ``<bundle>.corrupt`` and counted as ``prep.stream_corrupt`` — the
+    same policy as the result cache, and unlike a silent unlink it
     leaves the evidence on disk for postmortems.
     """
     directory = _stream_dir()
@@ -119,22 +138,20 @@ def _load_stream_from_disk(name: str, length: int) -> Optional[int]:
         return None
     prefix = f"{name}-{_stream_digest(name)}-"
     best: Optional[Tuple[int, Path]] = None
-    for path in directory.glob(f"{prefix}*.pkl"):
-        try:
-            cached_len = int(path.name[len(prefix):-4])
-        except ValueError:
-            continue
-        if cached_len >= length and (best is None or cached_len < best[0]):
+    for path in directory.glob(f"{prefix}*{BUNDLE_SUFFIX}"):
+        cached_len = _bundle_length(path, prefix)
+        if (cached_len is not None and cached_len >= length
+                and (best is None or cached_len < best[0])):
             best = (cached_len, path)
     if best is None:
         return None
     cached_len, path = best
     try:
         with open(path, "rb") as handle:
-            program, result = pickle.load(handle)
-        if not (isinstance(program, Program)
-                and isinstance(result, ExecutionResult)):
-            raise ValueError("not a (Program, ExecutionResult) bundle")
+            program, packed = pickle.load(handle)
+        if not isinstance(program, Program):
+            raise ValueError("not a (Program, PackedStream) bundle")
+        result = decode_stream(program, packed)
     except Exception:
         _quarantine_stream(path)
         return None
@@ -148,8 +165,8 @@ def _quarantine_stream(path: Path) -> None:
 
     Mirrors ``ResultCache``'s quarantine policy: the broken file stops
     shadowing the (re-emulated and re-stored) good entry, but stays on
-    disk as ``*.pkl.corrupt`` for inspection.  The quarantined name no
-    longer matches the loader's ``*.pkl`` glob, so it is never re-read.
+    disk as ``*.corrupt`` for inspection.  The quarantined name no
+    longer matches the loader's glob, so it is never re-read.
     """
     quarantined = path.with_name(path.name + ".corrupt")
     try:
@@ -161,7 +178,8 @@ def _quarantine_stream(path: Path) -> None:
 
 def _store_stream_to_disk(name: str) -> None:
     """Persist the decoded program plus the suite's longest in-process
-    stream for *name*, dropping now-redundant shorter entries.
+    stream for *name*, dropping now-redundant shorter entries and the
+    stream's bundles in the superseded ``.pkl`` format.
     Best-effort: I/O errors never fail the simulation."""
     entry = suite.peek_stream(name)
     program = suite.cached_program(name)
@@ -170,7 +188,7 @@ def _store_stream_to_disk(name: str) -> None:
     requested, result = entry
     directory = _stream_dir()
     prefix = f"{name}-{_stream_digest(name)}-"
-    path = directory / f"{prefix}{requested}.pkl"
+    path = directory / f"{prefix}{requested}{BUNDLE_SUFFIX}"
     try:
         if path.exists():
             return
@@ -178,18 +196,18 @@ def _store_stream_to_disk(name: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump((program, result), handle,
+                pickle.dump((program, encode_stream(result)), handle,
                             protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
-        for stale in directory.glob(f"{prefix}*.pkl"):
-            try:
-                if int(stale.name[len(prefix):-4]) < requested:
-                    stale.unlink(missing_ok=True)
-            except ValueError:
-                continue
+        for stale in directory.glob(f"{prefix}*{BUNDLE_SUFFIX}"):
+            cached_len = _bundle_length(stale, prefix)
+            if cached_len is not None and cached_len < requested:
+                stale.unlink(missing_ok=True)
+        for superseded in directory.glob(f"{prefix}*.pkl"):
+            superseded.unlink(missing_ok=True)
     except OSError:
         return
 

@@ -4,6 +4,7 @@ plus kernel-level end-to-end checks."""
 import pytest
 
 from repro.emulator.machine import Machine, execute, to_signed, to_unsigned
+from repro.emulator.stream import decode_stream, encode_stream
 from repro.errors import EmulationError
 from repro.isa.assembler import assemble
 from repro.isa.program import STACK_BASE
@@ -292,6 +293,31 @@ class TestRunControl:
         program = assemble("ld t0, 8(gp)\nhalt")
         stream = execute(program).stream
         assert stream[0].ea == program.data_base + 8
+
+    def test_packed_stream_round_trip(self):
+        """Decoding the packed columns rebuilds every record, bound to
+        the program's own instructions, plus the outputs and halt flag."""
+        program = assemble("""
+        main:
+            li t0, -7
+            st t0, 0(gp)
+            ld t1, 0(gp)
+            out t1
+            call f
+            halt
+        f:  ret
+        """)
+        result = execute(program)
+        decoded = decode_stream(program, encode_stream(result))
+
+        def fields(record):
+            return (record.index, record.pc, record.next_pc, record.taken,
+                    record.ea)
+        assert ([fields(r) for r in decoded.stream]
+                == [fields(r) for r in result.stream])
+        assert all(d.inst is r.inst
+                   for d, r in zip(decoded.stream, result.stream))
+        assert (decoded.outputs, decoded.halted) == ([-7], True)
 
 
 class TestKernels:

@@ -19,16 +19,20 @@ Five concerns:
   acceptance bound; see docs/PERFORMANCE.md).
 """
 
+import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
+from array import array
 
 import pytest
 
 from repro import frontend_config, run_simulation
 from repro.core.processor import Processor
 from repro.core.warming import WarmingState, warm_processor
+from repro.emulator.machine import Machine
 from repro.errors import ReproError, SimulationError
 from repro.experiments.runner import SweepJob, run_job
 from repro.sampling import SamplingConfig, clear_prep_caches
@@ -74,6 +78,42 @@ def structure_state(processor):
     if processor.trace_cache is not None:
         state["tc"] = [list(s.items()) for s in processor.trace_cache._sets]
     return state
+
+
+def _bundles(cache_dir, name):
+    """The on-disk stream bundles of suite benchmark *name*."""
+    return sorted((cache_dir / "streams").glob(
+        f"{name}-*{prep.BUNDLE_SUFFIX}"))
+
+
+def _fields(result):
+    """Every field of every record except ``inst``, with the types of
+    ``taken`` and ``ea``, plus the run's outputs and halt flag."""
+    records = [(r.index, r.pc, r.next_pc, r.taken, type(r.taken), r.ea,
+                type(r.ea)) for r in result.stream]
+    return records, result.outputs, result.halted
+
+
+def _forbid_emulation(patch):
+    def refuse(self, max_instructions):
+        raise AssertionError("re-emulated instead of loading the bundle")
+    patch.setattr(Machine, "run", refuse)
+
+
+def _wrong_shape(bundle):
+    return pickle.dumps(("just", "strings"))
+
+
+def _ragged_columns(bundle):
+    program, packed = pickle.loads(bundle.read_bytes())
+    return pickle.dumps((program, packed._replace(taken=packed.taken[:-1])))
+
+
+def _pc_outside_text(bundle):
+    program, packed = pickle.loads(bundle.read_bytes())
+    pcs = array("Q", packed.pc)
+    pcs[len(pcs) // 2] = program.text_end
+    return pickle.dumps((program, packed._replace(pc=pcs)))
 
 
 class TestChunkedWarmingParity:
@@ -175,22 +215,25 @@ class TestPrepCache:
         clear_prep_caches()
         suite.clear_caches()
         _, first, _ = prep.get_oracle("gzip", 2000)
-        files = list((tmp_path / "streams").glob("gzip-*.pkl"))
-        assert len(files) == 1
+        assert len(_bundles(tmp_path, "gzip")) == 1
+        # Every field is exercised: loads and stores carry an ea, taken
+        # branches and returns leave the fall-through path.
+        assert any(r.inst.is_load for r in first.stream)
+        assert any(r.inst.is_store for r in first.stream)
+        assert any(r.taken and r.inst.is_cond_branch for r in first.stream)
+        assert any(r.inst.is_return for r in first.stream)
 
         # A fresh process state (caches cleared) must load the bundle
-        # instead of re-emulating, preserving intra-stream identity.
+        # instead of re-emulating, reproducing every record field and
+        # binding each record to the bundled program's instruction.
         clear_prep_caches()
         suite.clear_caches()
-        program, result, _ = prep.get_oracle("gzip", 2000)
+        with monkeypatch.context() as patch:
+            _forbid_emulation(patch)
+            program, result, _ = prep.get_oracle("gzip", 2000)
         assert suite.cached_program("gzip") is program
-        assert [r.pc for r in result.stream] == [r.pc for r in first.stream]
-        by_pc = {}
-        for record in result.stream:
-            if record.pc in by_pc:
-                assert record.inst is by_pc[record.pc]
-            else:
-                by_pc[record.pc] = record.inst
+        assert _fields(result) == _fields(first)
+        assert all(r.inst is program.inst_at(r.pc) for r in result.stream)
 
         clear_prep_caches()
         suite.clear_caches()
@@ -207,13 +250,13 @@ class TestPrepCache:
 
     def test_corrupt_stream_bundle_is_quarantined(self, tmp_path,
                                                   monkeypatch):
-        """A torn/garbage pickle is moved aside as *.pkl.corrupt (never
+        """A torn/garbage bundle is moved aside as *.corrupt (never
         silently unlinked), counted, and transparently re-emulated."""
         monkeypatch.setenv(prep.CACHE_DIR_ENV, str(tmp_path))
         clear_prep_caches()
         suite.clear_caches()
         _, clean, _ = prep.get_oracle("gzip", 2000)
-        bundle = list((tmp_path / "streams").glob("gzip-*.pkl"))[0]
+        bundle = _bundles(tmp_path, "gzip")[0]
         bundle.write_bytes(b"\x80\x04 not a pickle")
 
         clear_prep_caches()
@@ -238,24 +281,88 @@ class TestPrepCache:
         clear_prep_caches()
         suite.clear_caches()
 
-    def test_wrong_typed_bundle_is_quarantined(self, tmp_path,
-                                               monkeypatch):
-        """A well-formed pickle of the wrong shape is corrupt too."""
-        import pickle
-
+    @pytest.mark.parametrize("corrupt", [
+        _wrong_shape, _ragged_columns, _pc_outside_text,
+    ], ids=["wrong-shape", "ragged-columns", "pc-outside-text"])
+    def test_wrong_typed_bundle_is_quarantined(self, tmp_path, monkeypatch,
+                                               corrupt):
+        """A well-formed pickle that does not decode to the stream is
+        corrupt too."""
         monkeypatch.setenv(prep.CACHE_DIR_ENV, str(tmp_path))
         clear_prep_caches()
         suite.clear_caches()
-        prep.get_oracle("mcf", 1500)
-        bundle = list((tmp_path / "streams").glob("mcf-*.pkl"))[0]
-        bundle.write_bytes(pickle.dumps(("just", "strings")))
+        _, clean, _ = prep.get_oracle("mcf", 1500)
+        bundle = _bundles(tmp_path, "mcf")[0]
+        bundle.write_bytes(corrupt(bundle))
 
         clear_prep_caches()
         suite.clear_caches()
         before = prep.PREP_STATS.get("prep.stream_corrupt")
-        prep.get_oracle("mcf", 1500)
+        _, recovered, _ = prep.get_oracle("mcf", 1500)
         assert prep.PREP_STATS.get("prep.stream_corrupt") == before + 1
         assert bundle.with_name(bundle.name + ".corrupt").exists()
+        assert _fields(recovered) == _fields(clean)
+        clear_prep_caches()
+        suite.clear_caches()
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["gc-on", "gc-off"])
+    def test_collector_state_is_restored(self, tmp_path, monkeypatch,
+                                         enabled):
+        """Emulating, decoding a bundle, and failing to decode one inside
+        the paused window all leave the caller's collector state."""
+        monkeypatch.setenv(prep.CACHE_DIR_ENV, str(tmp_path))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            clear_prep_caches()
+            suite.clear_caches()
+            prep.get_oracle("mcf", 1500)
+            assert gc.isenabled() is enabled
+
+            clear_prep_caches()
+            suite.clear_caches()
+            with monkeypatch.context() as patch:
+                _forbid_emulation(patch)
+                prep.get_oracle("mcf", 1500)
+            assert gc.isenabled() is enabled
+
+            bundle = _bundles(tmp_path, "mcf")[0]
+            bundle.write_bytes(_pc_outside_text(bundle))
+            clear_prep_caches()
+            suite.clear_caches()
+            before = prep.PREP_STATS.get("prep.stream_corrupt")
+            prep.get_oracle("mcf", 1500)
+            assert prep.PREP_STATS.get("prep.stream_corrupt") == before + 1
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+            clear_prep_caches()
+            suite.clear_caches()
+
+    def test_storing_deletes_superseded_pkl_bundles(self, tmp_path,
+                                                    monkeypatch):
+        """Old-format ``.pkl`` bundles of the stored stream's digest are
+        deleted unread; other digests (other suite seeds) stay."""
+        monkeypatch.setenv(prep.CACHE_DIR_ENV, str(tmp_path))
+        streams = tmp_path / "streams"
+        streams.mkdir()
+        digest = prep._stream_digest("gzip")
+        superseded = [streams / f"gzip-{digest}-{n}.pkl"
+                      for n in (1000, 1500, 50000)]
+        kept = [streams / "gzip-000000000000-1500.pkl",
+                streams / f"gzip-{digest}-1500.pkl.corrupt"]
+        for path in superseded + kept:
+            path.write_bytes(b"old format")
+
+        clear_prep_caches()
+        suite.clear_caches()
+        before = prep.PREP_STATS.get("prep.stream_corrupt")
+        prep.get_oracle("gzip", 1500)
+        assert prep.PREP_STATS.get("prep.stream_corrupt") == before
+        assert not any(path.exists() for path in superseded)
+        assert all(path.exists() for path in kept)
+        assert len(_bundles(tmp_path, "gzip")) == 1
         clear_prep_caches()
         suite.clear_caches()
 
