@@ -143,11 +143,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         live = (LiveConfig() if args.live is True
                 else LiveConfig(path=args.live))
     try:
+        sampling = _sampling_arg(args)
         result = run_simulation(args.config, args.benchmark,
                                 max_instructions=args.instructions,
                                 warm=not args.cold, observability=obs,
-                                uop_log=uop_log,
-                                sampling=_sampling_arg(args),
+                                uop_log=uop_log, sampling=sampling,
                                 checkpoint_every=args.checkpoint, live=live)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

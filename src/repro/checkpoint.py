@@ -55,10 +55,10 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import faults
-from repro.config import ConfigError, ProcessorConfig, env_flag
+from repro.config import ProcessorConfig, env_flag, env_int
 from repro.frontend.trace_cache import TraceCache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.predictors.bimodal import BimodalPredictor
@@ -101,14 +101,9 @@ def resolve_checkpoint_every(value: object = None) -> Optional[int]:
     environments cannot skew result identity).
     """
     if value is None:
-        raw = os.environ.get(CHECKPOINT_ENV, "").strip()
-        if not raw or not env_flag(CHECKPOINT_ENV):
+        if not env_flag(CHECKPOINT_ENV):
             return None
-        try:
-            every = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{CHECKPOINT_ENV} must be an integer, got {raw!r}")
+        every = env_int(CHECKPOINT_ENV, 0)
     else:
         every = int(value)
     return every if every > 0 else None
@@ -116,15 +111,7 @@ def resolve_checkpoint_every(value: object = None) -> Optional[int]:
 
 def resolve_keep() -> int:
     """Snapshots retained per run (``REPRO_CHECKPOINT_KEEP``, min 1)."""
-    raw = os.environ.get(CHECKPOINT_KEEP_ENV, "")
-    if not raw.strip():
-        return DEFAULT_KEEP
-    try:
-        keep = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{CHECKPOINT_KEEP_ENV} must be an integer, got {raw!r}")
-    return max(1, keep)
+    return max(1, env_int(CHECKPOINT_KEEP_ENV, DEFAULT_KEEP))
 
 
 def default_checkpoint_dir() -> Path:
@@ -379,48 +366,3 @@ class CheckpointManager:
                 continue
             CHECKPOINT_STATS.add("checkpoint.pruned")
 
-
-def run_checkpointed(processor, every: int, manager: CheckpointManager,
-                     max_cycles: Optional[int] = None,
-                     warm_cb: Optional[Callable[[], None]] = None,
-                     live=None):
-    """Drive a full-detail run in checkpointed segments.
-
-    Resumes from the newest valid snapshot when one exists (skipping
-    *warm_cb*, whose training the snapshot already contains), otherwise
-    warms and starts from zero.  Each segment runs to the next multiple
-    of *every* committed instructions, snapshots the drained state, and
-    re-enters via ``restart_at`` — so an uninterrupted checkpointed run
-    and a killed-and-resumed one execute the identical schedule.
-    Finishes with the same ``sim.*`` counter contract as
-    :meth:`~repro.core.processor.Processor.run`; *max_cycles* bounds
-    each segment rather than the whole run.  On completion the run's
-    snapshots are cleared.  A *live* publisher (usually the same one
-    attached to the processor) is told each stored ordinal so attach
-    clients see checkpoint progress.
-    """
-    snapshot = manager.latest()
-    if snapshot is not None:
-        snapshot.restore(processor)
-        CHECKPOINT_STATS.add("checkpoint.resumed")
-    elif warm_cb is not None:
-        warm_cb()
-    total = processor.stream_length
-    timed_out = False
-    while processor.committed < total:
-        target = min(processor.committed + every, total)
-        if not processor.run_until(target, max_cycles=max_cycles):
-            timed_out = True
-            break
-        if processor.committed >= total:
-            break
-        manager.store(ProcessorSnapshot.capture(processor,
-                                                manager.fingerprint),
-                      ordinal=processor.committed // every)
-        if live is not None:
-            live.note_checkpoint(processor.committed // every)
-        processor.restart_at(processor.committed)
-    processor.stamp_summary(timed_out=timed_out)
-    if not timed_out:
-        manager.clear()
-    return processor

@@ -292,6 +292,23 @@ def env_flag(name: str, default: bool = False) -> bool:
     return text not in FALSY_ENV_VALUES
 
 
+def env_int(name: str, default: int) -> int:
+    """Parse the integer environment knob *name*.
+
+    Unset or blank yields *default*; a value ``int()`` rejects raises
+    :class:`ConfigError` naming the variable, so a typo in a numeric
+    knob reads as a configuration error rather than a traceback.
+    """
+    raw = os.environ.get(name)
+    if raw is None or not raw.strip():
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{name} must be an integer, got {raw!r}") from None
+
+
 #: Environment knobs for :class:`ObservabilityConfig.from_env`.
 OBS_SAMPLE_ENV = "REPRO_OBS_SAMPLE"
 OBS_RING_ENV = "REPRO_OBS_RING"
@@ -418,12 +435,10 @@ class ObservabilityConfig:
         trace = env_flag(OBS_TRACE_ENV)
         truthy = trace_value.lower() in ("1", "true", "yes", "on")
         return cls(
-            sample_interval=int(os.environ.get(OBS_SAMPLE_ENV, 0) or 0),
-            ring_capacity=int(
-                os.environ.get(OBS_RING_ENV, 0) or 0) or 4096,
+            sample_interval=env_int(OBS_SAMPLE_ENV, 0),
+            ring_capacity=env_int(OBS_RING_ENV, 0) or 4096,
             trace=trace,
-            trace_limit=int(
-                os.environ.get(OBS_TRACE_LIMIT_ENV, 0) or 0) or 200_000,
+            trace_limit=env_int(OBS_TRACE_LIMIT_ENV, 0) or 200_000,
             trace_path=trace_value if (trace and not truthy) else None,
             profile=env_flag(OBS_PROFILE_ENV),
         )
@@ -464,9 +479,7 @@ class LiveConfig:
         path = os.environ.get(LIVE_PATH_ENV) or None
         if not enabled and not path:
             return None
-        return cls(
-            path=path,
-            every=int(os.environ.get(LIVE_EVERY_ENV, 0) or 0) or 1000)
+        return cls(path=path, every=env_int(LIVE_EVERY_ENV, 0) or 1000)
 
 
 @dataclass(frozen=True)

@@ -231,21 +231,17 @@ class Processor:
     def run(self, max_cycles: Optional[int] = None) -> "Processor":
         """Simulate until the oracle stream is fully committed.
 
-        Raises :class:`~repro.errors.DeadlockError` if the pipeline stops
+        One :meth:`run_until` segment over the whole stream, then
+        :meth:`stamp_summary`.  Raises
+        :class:`~repro.errors.DeadlockError` if the pipeline stops
         committing (livelock) and :class:`~repro.errors.InvariantError`
         if the opt-in per-cycle audits find inconsistent state.
         """
-        # max_cycles=0 must mean "run zero cycles", not "use the default".
-        limit = (len(self._oracle) * 30 + 20_000) if max_cycles is None \
-            else max_cycles
-        obs = self.obs
-        self._drive(limit, obs.metrics if obs is not None else None)
-        self.stamp_summary(timed_out=not self._done)
-        if obs is not None:
-            obs.finalize(self)
+        self.stamp_summary(
+            timed_out=not self.run_until(len(self._oracle), max_cycles))
         return self
 
-    def _drive(self, limit: int, metrics=None) -> None:
+    def _drive(self, limit: int) -> None:
         """Step until the stop condition or cycle *limit*.
 
         After every cycle the observers run in a fixed order: metrics
@@ -254,13 +250,15 @@ class Processor:
         attached, the loop times each entry of the phase table (plus the
         observers as ``observe``); otherwise it makes no timing calls.
         """
+        obs = self.obs
+        metrics = obs.metrics if obs is not None else None
         observers = tuple(hook for hook in (
             metrics.maybe_sample if metrics is not None else None,
             self.live.maybe_publish if self.live is not None else None,
             self.watchdog.observe if self.watchdog is not None else None,
             self.invariants.check if self.invariants is not None else None,
         ) if hook is not None)
-        profiler = self.obs.profiler if self.obs is not None else None
+        profiler = obs.profiler if obs is not None else None
         if profiler is None:
             step = self.step
             while not self._done and self.now < limit:
@@ -281,23 +279,22 @@ class Processor:
                 observe(self)
             stop("observe", t0)
 
-    # -- sampled-simulation seam (see repro.sampling) -----------------------
+    # -- segments (see repro.perf.cosim) ------------------------------------
 
     def run_until(self, stop_at: int,
                   max_cycles: Optional[int] = None) -> bool:
         """Run the timed loop until *stop_at* oracle records have committed.
 
-        The thin seam :mod:`repro.sampling` drives detailed measurement
-        windows through: unlike :meth:`run` it neither finalises
-        observability nor stamps the ``sim.*`` summary counters, so a
-        window's counter deltas stay clean.  ``self.now`` keeps
-        accumulating across windows.  A ``PhaseProfiler`` attached
-        via ``obs`` does stay live here (the same loop as :meth:`run`),
-        so sampled-mode host time is attributable too; the metrics
-        recorder stays idle so windows see no mid-window gauge work.
-        Returns True when the commit target was reached, False on
-        hitting the cycle bound (the caller decides whether that poisons
-        the sample).
+        The one segment every run mode is built from: a full-detail run
+        is one segment, a checkpointed run one per interval, a sampled
+        run a warm-up and a measured segment per window.  It neither
+        finalises observability nor stamps the ``sim.*`` summary
+        counters (:meth:`stamp_summary` does), so a window's counter
+        deltas stay clean.  ``self.now`` keeps accumulating across
+        segments.  *max_cycles* bounds this segment (default: 30 cycles
+        per instruction plus 20 000).  Returns True when the commit
+        target was reached, False on hitting the cycle bound (the caller
+        decides whether that poisons the sample).
         """
         self._stop_at = min(stop_at, len(self._oracle))
         if self._committed >= self._stop_at:
@@ -1002,16 +999,21 @@ class Processor:
         return len(self._oracle)
 
     def stamp_summary(self, timed_out: bool = False) -> None:
-        """Stamp the ``sim.*`` summary counters.
+        """Stamp the ``sim.*`` summary counters and fold in the
+        observability summaries (``obs.*``, see
+        :meth:`repro.obs.Observability.finalize`).
 
-        Factored out of :meth:`run` so drivers that steer the loop
-        through :meth:`run_until` segments (checkpointed runs, see
-        :mod:`repro.checkpoint`) finish with the same counter contract.
+        Ends every run whose counters are the processor's own: full
+        detail (:meth:`run`) and each checkpointed run.  Sampled runs
+        extrapolate their counters instead
+        (:func:`repro.sampling.engine.finalize_sampled`).
         """
         if timed_out:
             self.stats.set("sim.timeout", 1)
         self.stats.set("sim.cycles", self.now)
         self.stats.set("sim.committed", self._committed)
+        if self.obs is not None:
+            self.obs.finalize(self)
 
     def adopt_warm_state(self, donor) -> None:
         """Adopt every *warm* structure from a duck-typed donor.

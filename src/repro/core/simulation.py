@@ -14,14 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import LiveConfig, ProcessorConfig, frontend_config
-from repro.core.invariants import InvariantChecker
-from repro.errors import ConfigError
-from repro.core.processor import Processor
 from repro.core.uop import MicroOp
 from repro.isa.program import Program
 from repro.obs import Observability
 from repro.obs.live import LiveTelemetry
-from repro.workloads import suite
+from repro.perf import cosim
 
 
 @dataclass
@@ -132,59 +129,6 @@ def _resolve_config(config: Union[str, ProcessorConfig]
     return config.frontend.fetch_kind, config
 
 
-def _resolve_live(live: Union[None, bool, LiveConfig, LiveTelemetry],
-                  benchmark: str, config_name: str,
-                  mode: str) -> Optional[LiveTelemetry]:
-    """Build the live telemetry publisher for one run (or None).
-
-    ``None`` defers to the ``REPRO_LIVE*`` environment knobs, ``False``
-    forces off, ``True`` publishes with default settings, a
-    :class:`~repro.config.LiveConfig` gives full control, and a
-    ready-made :class:`~repro.obs.live.LiveTelemetry` is used as-is.
-    """
-    if live is None:
-        config = LiveConfig.from_env()
-    elif live is True:
-        config = LiveConfig()
-    elif live is False:
-        config = None
-    elif isinstance(live, LiveConfig):
-        config = live
-    else:
-        return live
-    if config is None:
-        return None
-    return LiveTelemetry(config, benchmark=benchmark,
-                         config_name=config_name, mode=mode)
-
-
-def _reject_unsupported(mode: str, invariant_checks: Optional[bool],
-                        observability: Optional[Observability],
-                        uop_log: Optional[List[MicroOp]]) -> None:
-    """Raise :class:`ConfigError` for an argument *mode* would ignore.
-
-    The sampled and checkpointed drivers build their own processors:
-    neither fills a uop log or takes the *invariant_checks* override,
-    the checkpointed driver attaches no observability bundle, and the
-    sampled one leaves metrics sampling idle.
-    """
-    if mode == "full":
-        return
-    unsupported = []
-    if uop_log is not None:
-        unsupported.append("uop_log")
-    if invariant_checks:
-        unsupported.append("invariant_checks=True")
-    if observability is not None:
-        if mode == "checkpointed" and observability.enabled:
-            unsupported.append("observability")
-        elif mode == "sampled" and observability.metrics is not None:
-            unsupported.append("observability metrics sampling")
-    if unsupported:
-        raise ConfigError(f"{', '.join(unsupported)} not supported in "
-                          f"{mode} mode")
-
-
 def run_simulation(config: Union[str, ProcessorConfig],
                    benchmark: Union[str, Program],
                    max_instructions: Optional[int] = None,
@@ -201,6 +145,10 @@ def run_simulation(config: Union[str, ProcessorConfig],
                    ) -> SimulationResult:
     """Simulate *benchmark* on the given front-end configuration.
 
+    A single run is a co-sim group of one: this is
+    ``repro.perf.cosim.run_cosim([(config, config_name)], ...)``, which
+    runs every mode.
+
     Args:
         config: a named paper configuration (``w16``, ``tc``, ``tc2x``,
             ``pf-2x8w``, ``pf-4x4w``, ``pr-2x8w``, ``pr-4x4w``,
@@ -210,19 +158,24 @@ def run_simulation(config: Union[str, ProcessorConfig],
             :class:`~repro.isa.program.Program`.
         max_instructions: dynamic instructions to simulate (defaults to the
             suite default, overridable via ``REPRO_SIM_INSTRUCTIONS``).
-        max_cycles: optional safety bound on simulated cycles.
+        max_cycles: optional safety bound on simulated cycles, per
+            segment: the whole run in full detail, each interval when
+            checkpointing, and each warm-up or measured window segment
+            when sampling (``sampling.window_timeouts`` counts hits).
         warm: functionally warm predictors and caches with the stream
             before the timed run (steady-state methodology; see
             :mod:`repro.core.warming`).  Default True.
         invariant_checks: force the per-cycle pipeline audits on (True)
-            or off (False); None defers to ``REPRO_INVARIANT_CHECKS``.
+            or off (False) in every mode; None defers to
+            ``REPRO_INVARIANT_CHECKS``.
             The forward-progress watchdog is independent of this flag and
             controlled by ``REPRO_WATCHDOG_CYCLES`` (0 disables).
         observability: an :class:`~repro.obs.Observability` bundle
             (metrics sampling / event tracing / self-profiling); None
             defers to the ``REPRO_OBS_*`` environment knobs, which all
             default to off.  Summaries are folded into the result's
-            counters under ``obs.*``.
+            counters under ``obs.*``.  Either source is checked against
+            the mode (see *sampling* and *checkpoint_every*).
         uop_log: when a list is supplied, every committed
             :class:`~repro.core.uop.MicroOp` is appended to it (the
             pipeview path; see :mod:`repro.core.trace`).  Full-detail
@@ -236,9 +189,9 @@ def run_simulation(config: Union[str, ProcessorConfig],
             Sampled results are extrapolated estimates carrying
             ``sampling.*`` confidence counters.  Of the observability
             pillars the profiler and tracer stay live (``obs.*``
-            summaries land in the counters); ``uop_log``,
-            ``invariant_checks=True`` and a bundle with metrics
-            sampling on raise :class:`~repro.errors.ConfigError`.
+            summaries land in the counters); ``uop_log`` and metrics
+            sampling (a bundle's, or ``REPRO_OBS_SAMPLE``) raise
+            :class:`~repro.errors.ConfigError`.
         checkpoint_every: durable checkpoint/restore (see
             :mod:`repro.checkpoint`).  ``None`` defers to
             ``REPRO_CHECKPOINT`` (unset or 0 = off), ``0``/``False``
@@ -248,9 +201,9 @@ def run_simulation(config: Union[str, ProcessorConfig],
             is bit-identical to an uninterrupted run with the same
             cadence.  Checkpoint boundaries drain the pipeline, so the
             cadence is part of the run's identity (and of sweep cache
-            keys).  In checkpointed full-detail mode ``uop_log``,
-            ``invariant_checks=True`` and a bundle with any
-            observability pillar on raise
+            keys).  In checkpointed full-detail mode ``uop_log`` and
+            any observability pillar (a bundle's, or one of
+            ``REPRO_OBS_SAMPLE``/``_TRACE``/``_PROFILE``) raise
             :class:`~repro.errors.ConfigError`.
         live: live telemetry (see :mod:`repro.obs.live`): snapshot the
             running pipeline to a status file ``repro attach`` can
@@ -267,99 +220,17 @@ def run_simulation(config: Union[str, ProcessorConfig],
 
     Raises:
         ConfigError: an argument the chosen mode cannot honour (see
-            *sampling* and *checkpoint_every*).
+            *sampling* and *checkpoint_every*), or a malformed numeric
+            ``REPRO_*`` knob; raised before any oracle preparation.
         DeadlockError: the pipeline livelocked (no commits for the
             watchdog's stall window) — a simulator bug, not a property
             of the program.
         InvariantError: an enabled per-cycle audit found inconsistent
             pipeline state.
     """
-    from repro import checkpoint
-    from repro.sampling import engine as sampling_engine
-    from repro.sampling import prep
-
-    sampling_config = sampling_engine.resolve_sampling(sampling)
-    every = checkpoint.resolve_checkpoint_every(checkpoint_every)
-    mode = ("sampled" if sampling_config is not None
-            else "checkpointed" if every is not None else "full")
-    _reject_unsupported(mode, invariant_checks, observability, uop_log)
-
-    resolved_name, processor_config = _resolve_config(config)
-    config_name = config_name or resolved_name
-    length = (suite.default_sim_instructions() if max_instructions is None
-              else max_instructions)
-    program, execution, stream_key = prep.get_oracle(benchmark, length)
-    oracle = execution.stream
-    bench_name = benchmark if isinstance(benchmark, str) else program.name
-
-    manager = None
-    if every is not None:
-        stream_fp = prep.stream_fingerprint(stream_key, program)
-        sampling_tuple = (sampling_config.as_tuple()
-                          if sampling_config is not None else None)
-        manager = checkpoint.CheckpointManager(
-            checkpoint.run_fingerprint(processor_config, stream_fp, warm,
-                                       sampling_tuple, every),
-            description=f"{config_name}/{bench_name}")
-
-    if sampling_config is not None:
-        return sampling_engine.run_sampled(
-            processor_config, program, oracle, sampling_config,
-            config_name=config_name, benchmark=bench_name, warm=warm,
-            stream_key=stream_key, pin=program,
-            checkpoint_every=every, checkpoint_manager=manager,
-            observability=(observability if observability is not None
-                           else Observability.from_env()),
-            live=_resolve_live(live, bench_name, config_name, mode))
-
-    if manager is not None:
-        # Checkpointed full-detail run: the segment driver steers
-        # run_until directly, like sampled windows do, so only live
-        # telemetry publishes (environment observability stays idle).
-        live_pub = _resolve_live(live, bench_name, config_name, mode)
-        processor = Processor(processor_config, program, oracle,
-                              live=live_pub)
-        warm_cb = None
-        if warm:
-            warm_cb = lambda: prep.warm_from_snapshot(  # noqa: E731
-                processor, oracle, stream_key, pin=program)
-        checkpoint.run_checkpointed(processor, every, manager,
-                                    max_cycles=max_cycles,
-                                    warm_cb=warm_cb, live=live_pub)
-        if live_pub is not None:
-            live_pub.publish_final(processor)
-        return SimulationResult(
-            benchmark=bench_name,
-            config_name=config_name,
-            cycles=processor.now,
-            committed=processor.committed,
-            counters=processor.stats.as_dict(),
-        )
-
-    live_pub = _resolve_live(live, bench_name, config_name, mode)
-    if observability is None:
-        observability = Observability.from_env()
-    if invariant_checks is None:
-        processor = Processor(processor_config, program, oracle,
-                              obs=observability, live=live_pub)
-    else:
-        checker = InvariantChecker() if invariant_checks else None
-        processor = Processor(processor_config, program, oracle,
-                              invariants=checker, obs=observability,
-                              live=live_pub)
-    if uop_log is not None:
-        processor.uop_log = uop_log
-    if warm:
-        # Snapshot-clone warming: bit-identical to warm_processor() but
-        # the training cost is paid once per (stream, warm config).
-        prep.warm_from_snapshot(processor, oracle, stream_key, pin=program)
-    processor.run(max_cycles=max_cycles)
-    if live_pub is not None:
-        live_pub.publish_final(processor)
-    return SimulationResult(
-        benchmark=bench_name,
-        config_name=config_name,
-        cycles=processor.now,
-        committed=processor.committed,
-        counters=processor.stats.as_dict(),
-    )
+    results, _ = cosim.run_cosim(
+        [(config, config_name)], benchmark, max_instructions, warm,
+        sampling, max_cycles=max_cycles, invariant_checks=invariant_checks,
+        observability=observability, uop_log=uop_log,
+        checkpoint_every=checkpoint_every, live=live)
+    return results[0]

@@ -23,14 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Union
 
-from repro.config import ProcessorConfig, frontend_config
-from repro.core.processor import Processor
+from repro.config import ProcessorConfig
+from repro.core.simulation import run_simulation
 from repro.core.uop import MicroOp
-from repro.core.warming import warm_processor
-from repro.emulator.machine import Machine
 from repro.isa.disassembler import format_instruction
 from repro.isa.program import Program
-from repro.workloads import suite
 
 
 @dataclass
@@ -62,21 +59,13 @@ def trace_simulation(config: Union[str, ProcessorConfig],
                      benchmark: Union[str, Program],
                      max_instructions: int = 2000,
                      warm: bool = True) -> List[UopTrace]:
-    """Run a simulation collecting the lifecycle of every committed uop."""
-    if isinstance(config, str):
-        config = frontend_config(config)
-    if isinstance(benchmark, str):
-        program = suite.get_benchmark(benchmark)
-        oracle = suite.oracle_stream(benchmark, max_instructions).stream
-    else:
-        program = benchmark
-        oracle = Machine(program).run(max_instructions).stream
-    processor = Processor(config, program, oracle)
-    processor.uop_log = []
-    if warm:
-        warm_processor(processor, oracle)
-    processor.run()
-    return [UopTrace.from_uop(uop) for uop in processor.uop_log]
+    """Run a full-detail simulation collecting the lifecycle of every
+    committed uop (``run_simulation``'s *uop_log*)."""
+    log: List[MicroOp] = []
+    run_simulation(config, benchmark, max_instructions=max_instructions,
+                   warm=warm, uop_log=log, sampling=False,
+                   checkpoint_every=False)
+    return [UopTrace.from_uop(uop) for uop in log]
 
 
 def format_pipeview(traces: List[UopTrace], start: int = 0,

@@ -27,7 +27,7 @@ asserts this).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.emulator.stream import DynamicInstruction
 from repro.frontend.fragments import (
@@ -123,34 +123,31 @@ class WarmingState:
 
         self._seen_line = seen_line
 
-    def feed_caches(self, chunk: Iterable[DynamicInstruction]) -> None:
-        """Touch caches in reference order for *chunk*, training nothing.
+    def feed_caches(self, touches: Iterable[Tuple[int, bool]]) -> None:
+        """Replay a gap's cache-touch list, training nothing.
 
         The cheap gap-maintenance mode for sampled runs that pre-warmed
         every predictor on the whole stream: the predictors are already
         at steady state, so re-training them through the gaps buys no
         accuracy, but cache LRU recency still has to track the skipped
         references or measured windows would see phantom-cold lines.
-        Uses the same I-line carry as :meth:`feed`, so the two modes can
-        be interleaved (they never are in practice).
+        *touches* comes from :func:`cache_touches`, which depends only on
+        the stream, so a co-sim group computes one list per gap and
+        replays it into every sibling.  Each touch fills L2 first, then
+        its L1 side — the update sequence :meth:`feed` applies.
         """
         if self._finished:
             raise RuntimeError("WarmingState.feed_caches() after finish()")
         memory = self.processor.memory
-        seen_line = self._seen_line
         l2_fill = memory.l2.fill
         l1i_fill = memory.l1i.fill
         l1d_fill = memory.l1d.fill
-        for record in chunk:
-            line = record.pc >> 6
-            if line != seen_line:
-                l2_fill(record.pc)
-                l1i_fill(record.pc)
-                seen_line = line
-            if record.ea is not None:
-                l2_fill(record.ea)
-                l1d_fill(record.ea)
-        self._seen_line = seen_line
+        for addr, is_inst in touches:
+            l2_fill(addr)
+            if is_inst:
+                l1i_fill(addr)
+            else:
+                l1d_fill(addr)
 
     def _train(self, fragment: DynamicFragment) -> None:
         """Train the fragment-sequence predictors on a carved fragment,
@@ -216,6 +213,27 @@ class WarmingState:
         # run starts clean, with no phantom zero-valued entries.
         self.processor.stats.reset()
         self.processor.trace_predictor.restore_history(())
+
+
+def cache_touches(records: Iterable[DynamicInstruction],
+                  seen_line: int = -1) -> List[Tuple[int, bool]]:
+    """The cache touches :meth:`WarmingState.feed` makes for *records*.
+
+    ``(address, is_instruction)`` in stream order: an instruction-side
+    touch whenever the I-line changes, a data-side touch per memory
+    record.  *seen_line* is the I-line carried in from the previous
+    chunk (the last record's ``pc >> 6``; -1 at the start of a run).
+    """
+    touches: List[Tuple[int, bool]] = []
+    append = touches.append
+    for record in records:
+        line = record.pc >> 6
+        if line != seen_line:
+            append((record.pc, True))
+            seen_line = line
+        if record.ea is not None:
+            append((record.ea, False))
+    return touches
 
 
 def warm_donor_group(donors: Sequence["Processor"],

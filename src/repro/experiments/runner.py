@@ -628,9 +628,10 @@ def _cosim_batch(tasks: Sequence[Tuple[SweepJob, int]]
     Every job shares ``(benchmark, length, warm)`` *and* the same
     sampling selector with no checkpointing (the caller partitions on
     that), so the whole batch maps onto one
-    :func:`repro.perf.cosim.run_cosim` call.  Sampling is passed by
-    value from the jobs — never resolved from the environment — exactly
-    like :func:`_execute_job`, so cache keys keep matching what ran.
+    :func:`repro.perf.cosim.run_cosim` call.  Sampling and the absent
+    checkpoint cadence are passed by value from the jobs — never
+    resolved from the environment — exactly like :func:`_execute_job`,
+    so cache keys keep matching what ran.
     Returns per-job ``("ok", payload, seconds)`` outcomes in job order
     (batch wall time split evenly — siblings share most of the work, so
     per-job attribution is nominal) plus the savings counters.
@@ -650,7 +651,7 @@ def _cosim_batch(tasks: Sequence[Tuple[SweepJob, int]]
     start = time.perf_counter()
     results, savings = cosim_engine.run_cosim(
         specs, lead.benchmark, max_instructions=lead.length,
-        warm=lead.warm, sampling=sampling)
+        warm=lead.warm, sampling=sampling, checkpoint_every=False)
     seconds = (time.perf_counter() - start) / len(jobs)
     outcomes = [("ok", _result_to_payload(result), seconds)
                 for result in results]

@@ -24,9 +24,9 @@ Usage::
 A fourth, independent piece — :class:`~repro.obs.live.LiveTelemetry` —
 publishes read-only snapshots of a *running* simulation to a status
 file for ``repro attach``; it is configured by :class:`LiveConfig`
-rather than :class:`ObservabilityConfig` because it also runs in modes
-(interval sampling, durable checkpointing) that bypass the pillar
-bundle.
+rather than :class:`ObservabilityConfig` because it also runs in
+checkpointed mode, which takes no pillar (and sampled mode takes no
+metrics sampling).
 
 Environment knobs (read by :meth:`ObservabilityConfig.from_env`, which
 the default ``run_simulation`` path consults): ``REPRO_OBS_SAMPLE``
@@ -55,6 +55,7 @@ from repro.obs.tracing import EventTracer, validate_chrome_trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.processor import Processor
+    from repro.stats import StatsCollector
 
 __all__ = [
     "Observability",
@@ -101,15 +102,20 @@ class Observability:
         config = ObservabilityConfig.from_env()
         return cls(config) if config.enabled else None
 
-    def finalize(self, processor: "Processor") -> None:
-        """Fold summaries into the processor's stats (and auto-export).
+    def finalize(self, processor: "Processor",
+                 stats: Optional["StatsCollector"] = None) -> None:
+        """Fold summaries into *stats* (default: the processor's own)
+        and auto-export the trace.
 
-        Called by ``Processor.run`` when it finishes, so every counter
-        lands in the :class:`~repro.core.simulation.SimulationResult`.
+        Called by ``Processor.stamp_summary`` when a run finishes, so
+        every counter lands in the
+        :class:`~repro.core.simulation.SimulationResult`; sampled runs,
+        whose counters are extrapolated, pass their own collector.
         All obs counters are ``set`` (gauge semantics): merging result
         collectors keeps the last writer rather than summing summaries.
         """
-        stats = processor.stats
+        if stats is None:
+            stats = processor.stats
         if self.metrics is not None:
             self.metrics.to_counters(stats)
         if self.tracer is not None:

@@ -201,8 +201,8 @@ def run_sampled_benchmark(config_name: str,
     """
     from repro.config import frontend_config
     from repro.core.processor import Processor
-    from repro.sampling import SamplingConfig, run_sampled
-    from repro.sampling import prep
+    from repro.core.simulation import run_simulation
+    from repro.sampling import SamplingConfig, prep
 
     config = frontend_config(config_name)
     program, execution, stream_key = prep.get_oracle(benchmark,
@@ -241,9 +241,10 @@ def run_sampled_benchmark(config_name: str,
     for _ in range(max(1, repeats)):
         gc.collect()
         start = time.perf_counter()
-        result = run_sampled(config, program, oracle, sampling,
-                             config_name=config_name, benchmark=benchmark,
-                             warm=True, stream_key=stream_key, pin=program)
+        result = run_simulation(config, benchmark,
+                                max_instructions=instructions,
+                                config_name=config_name, sampling=sampling,
+                                checkpoint_every=False)
         elapsed = time.perf_counter() - start
         sampled_best = min(sampled_best, elapsed)
     assert result is not None

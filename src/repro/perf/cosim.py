@@ -1,31 +1,30 @@
-"""Multi-config co-simulation: one stream pass, N timing models.
+"""Every simulation run: N timing models over one stream pass.
 
-The paper's whole evaluation is a many-configs-one-benchmark matrix
-(Figs 4-10: W16/TC/PF/PR over each benchmark), and everything that is a
-pure function of the *stream* — decode, the flattened oracle-PC table,
-fragment metadata, functional gap fast-forwarding, warm-snapshot
-training — was still being recomputed once per config.  This engine
-advances N :class:`~repro.core.processor.Processor` instances over one
-shared prepared stream and shares exactly that config-independent work:
+The paper's evaluation is a many-configs-one-benchmark matrix (Figs
+4-10: W16/TC/PF/PR over each benchmark), so the unit of work here is a
+*group* of configs over one resolved oracle stream.  ``run_simulation``
+is a group of one; the sweep runner (:mod:`repro.experiments.runner`)
+turns each stream group's eligible jobs into one larger group
+(``REPRO_SWEEP_GROUP=0`` leaves every job a group of one).
+:func:`run_cosim` builds each :class:`~repro.core.processor.Processor`
+in one place, warms it from the group's snapshots or restores it from a
+checkpoint, and drives it in ``run_until``/``restart_at`` segments:
 
-* one :class:`~repro.perf.soa.SharedStream` (decode cache + SoA PC
-  table + per-fragment-config metadata) injected into every sibling;
-* one warm-snapshot training pass per fragment config
-  (:func:`repro.sampling.prep.warm_group_snapshots`) instead of one
-  per distinct warm digest, and clones from the group's own snapshot
-  mapping, so each digest is trained once however many the group has;
-* in sampled mode, one functional gap fast-forward per group: the
-  cache-touch list of each gap (which addresses fill, in which order)
-  depends only on the stream, so it is computed once and replayed into
-  each sibling's memory hierarchy.
+* full detail — one segment per run, one processor alive at a time;
+* checkpointed (a group of one) — one segment per ``checkpoint_every``
+  instructions, with a snapshot at each boundary;
+* sampled — :func:`repro.sampling.engine.run_sampled`'s measured
+  windows, unit-lockstep over the whole group.
 
-Everything config-dependent — predictors, rename state, window, caches'
-*contents*, stats — stays strictly per sibling, so results (counters
-included) are bit-identical to serial per-config runs in full-detail,
-obs-on and sampled modes; the parity tests assert it.  The sweep runner
-(:mod:`repro.experiments.runner`) turns each stream group's eligible
-jobs into one co-sim batch; ``REPRO_SWEEP_GROUP=0`` leaves every group
-a single job, so nothing co-simulates.
+What is a pure function of the *stream* is computed once per group: one
+:class:`~repro.perf.soa.SharedStream` (decode cache, SoA PC table,
+per-fragment-config metadata), one warm-snapshot training pass per
+fragment config (:func:`repro.sampling.prep.warm_group_snapshots`), and
+in sampled mode one cache-touch list per functional gap.  Everything
+config-dependent — predictors, rename state, window, caches' *contents*,
+stats — stays per processor, so results (counters included) are
+bit-identical to serial per-config runs in every mode; the parity tests
+assert it.
 
 Like :mod:`repro.perf.bench`, the heavyweight simulator imports are
 deferred into the functions: ``repro.core.processor`` imports this
@@ -36,15 +35,7 @@ import of ``repro.core`` here would be circular.
 from __future__ import annotations
 
 from collections import Counter
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.perf.knobs import PerfConfig
 
@@ -53,44 +44,86 @@ from repro.perf.knobs import PerfConfig
 CosimSpec = Tuple[Union[str, "ProcessorConfig"], Optional[str]]  # noqa: F821
 
 
-def _gap_touches(gap, seen_line: int) -> Tuple[List[Tuple[int, bool]], int]:
-    """The cache-touch list of one functional fast-forward gap.
+def _reject_unsupported(mode: str, group: int, every: Optional[int],
+                        observability, env_obs, uop_log, live) -> None:
+    """Raise :class:`~repro.errors.ConfigError` for an argument the run
+    cannot honour.
 
-    Mirrors :meth:`repro.core.warming.WarmingState.feed_caches` exactly:
-    an instruction-side touch on every I-line change, a data-side touch
-    per memory record, in stream order.  Which touches happen depends
-    only on the stream and the carried *seen_line* — never on a config —
-    so one list serves every sibling.  Returns the touches and the
-    carried-out seen line.
+    A group of more than one shares the schedule, not per-run objects:
+    a checkpoint cadence, an observability bundle, a uop log or a ready
+    :class:`~repro.obs.live.LiveTelemetry` belong to one run.  Only
+    full detail fills a uop log.  Checkpointed runs take no
+    observability pillar, and sampled runs no metrics sampling — from
+    an explicit bundle (*observability*) or from the ``REPRO_OBS_*``
+    environment (*env_obs*, when no bundle is given).
     """
-    touches: List[Tuple[int, bool]] = []
-    append = touches.append
-    for record in gap:
-        line = record.pc >> 6
-        if line != seen_line:
-            append((record.pc, True))
-            seen_line = line
-        if record.ea is not None:
-            append((record.ea, False))
-    return touches, seen_line
+    from repro.config import OBS_PROFILE_ENV, OBS_SAMPLE_ENV, OBS_TRACE_ENV
+    from repro.errors import ConfigError
+    from repro.obs.live import LiveTelemetry
+
+    if group > 1:
+        shared = [name for name, given in (
+            ("checkpoint_every", every is not None),
+            ("observability", observability is not None),
+            ("uop_log", uop_log is not None),
+            ("a LiveTelemetry instance", isinstance(live, LiveTelemetry)),
+        ) if given]
+        if shared:
+            raise ConfigError(f"{', '.join(shared)} not supported in a "
+                              f"co-sim group of {group}")
+    if mode == "full":
+        return
+    unsupported = []
+    if uop_log is not None:
+        unsupported.append("uop_log")
+    if observability is not None:
+        if mode == "checkpointed" and observability.enabled:
+            unsupported.append("observability")
+        elif mode == "sampled" and observability.metrics is not None:
+            unsupported.append("observability metrics sampling")
+    if env_obs is not None:
+        pillars = [(OBS_SAMPLE_ENV, env_obs.sample_interval)]
+        if mode == "checkpointed":
+            pillars += [(OBS_TRACE_ENV, env_obs.trace),
+                        (OBS_PROFILE_ENV, env_obs.profile)]
+        unsupported += [name for name, on in pillars if on]
+    if unsupported:
+        raise ConfigError(f"{', '.join(unsupported)} not supported in "
+                          f"{mode} mode")
 
 
-def _replay_touches(memory, touches: Sequence[Tuple[int, bool]]) -> None:
-    """Apply a shared touch list to one sibling's memory hierarchy.
+def _run_segments(processor, every: Optional[int], manager,
+                  max_cycles: Optional[int]) -> bool:
+    """Drive a full-detail run to the end of its stream; False on a
+    timeout.
 
-    Fill order per touch matches ``feed_caches``: L2 first, then the
-    L1 side the touch belongs to — each sibling's LRU state observes
-    exactly the update sequence a solo gap walk would apply.
+    Without checkpointing that is one segment.  With it, each segment
+    runs to the next multiple of *every* committed instructions,
+    snapshots the drained state through *manager* and re-enters via
+    ``restart_at`` — so an uninterrupted checkpointed run and a
+    killed-and-resumed one execute the identical schedule.
+    *max_cycles* bounds each segment; a completed run clears its
+    snapshots.
     """
-    l2_fill = memory.l2.fill
-    l1i_fill = memory.l1i.fill
-    l1d_fill = memory.l1d.fill
-    for addr, is_inst in touches:
-        l2_fill(addr)
-        if is_inst:
-            l1i_fill(addr)
-        else:
-            l1d_fill(addr)
+    from repro.checkpoint import ProcessorSnapshot
+
+    total = processor.stream_length
+    if manager is None:
+        return processor.run_until(total, max_cycles)
+    while True:
+        target = min(processor.committed + every, total)
+        if not processor.run_until(target, max_cycles):
+            return False
+        if processor.committed >= total:
+            manager.clear()
+            return True
+        ordinal = processor.committed // every
+        manager.store(ProcessorSnapshot.capture(processor,
+                                                manager.fingerprint),
+                      ordinal=ordinal)
+        if processor.live is not None:
+            processor.live.note_checkpoint(ordinal)
+        processor.restart_at(processor.committed)
 
 
 def run_cosim(specs: Sequence[CosimSpec],
@@ -99,9 +132,16 @@ def run_cosim(specs: Sequence[CosimSpec],
               warm: bool = True,
               sampling=None,
               unit_hook: Optional[Callable] = None,
+              *,
+              max_cycles: Optional[int] = None,
+              invariant_checks: Optional[bool] = None,
+              observability=None,
+              uop_log: Optional[list] = None,
+              checkpoint_every=None,
+              live=None,
               ) -> Tuple[List["SimulationResult"],  # noqa: F821
                          Dict[str, float]]:
-    """Co-simulate every config in *specs* over one shared stream.
+    """Simulate every config in *specs* over one shared stream.
 
     Args:
         specs: ``(config, config_name)`` pairs — a named paper config or
@@ -115,9 +155,15 @@ def run_cosim(specs: Sequence[CosimSpec],
             resolved once for the group).
         unit_hook: sampled mode only — called as ``unit_hook(ui,
             processors)`` after each measured unit's windows complete,
-            with the sibling processors in spec order.  A test seam for
-            the cross-config state-isolation contract; None in
-            production.
+            with the processors in spec order.  A test seam for the
+            cross-config state-isolation contract; None in production.
+        max_cycles, invariant_checks, observability, uop_log,
+            checkpoint_every, live: as for
+            :func:`~repro.core.simulation.run_simulation`, applied to
+            every processor.  *checkpoint_every*, *observability*,
+            *uop_log* and a ready ``LiveTelemetry`` belong to one run, so
+            a group of more than one raises
+            :class:`~repro.errors.ConfigError` for them.
 
     Returns:
         ``(results, savings)``: one :class:`SimulationResult` per spec,
@@ -126,29 +172,48 @@ def run_cosim(specs: Sequence[CosimSpec],
         dict describing the work sharing (``cosim.jobs``,
         ``cosim.shared_decode``, ``cosim.gap_insts_shared``, plus
         ``prep.snapshot_*`` deltas) for the sweep summary.
+
+    Raises:
+        ConfigError: an argument the run cannot honour (see
+            :func:`~repro.core.simulation.run_simulation`), checked
+            before any oracle preparation.
     """
+    from repro import checkpoint
+    from repro.config import LiveConfig, ObservabilityConfig
+    from repro.core.invariants import InvariantChecker
     from repro.core.processor import Processor
-    from repro.core.simulation import (
-        SimulationResult,
-        _resolve_config,
-        _resolve_live,
-    )
-    from repro.core.warming import WarmingState
+    from repro.core.simulation import SimulationResult, _resolve_config
     from repro.obs import Observability
+    from repro.obs.live import LiveTelemetry
     from repro.perf.soa import SharedStream
     from repro.sampling import prep
-    from repro.sampling.engine import (
-        SampleAccum,
-        _cpi_stats,
-        finalize_sampled,
-        measure_unit,
-        resolve_sampling,
-        unit_geometry,
-    )
+    from repro.sampling.engine import resolve_sampling, run_sampled
     from repro.workloads import suite
 
     if not specs:
         return [], {}
+    sampling_config = resolve_sampling(sampling)
+    every = checkpoint.resolve_checkpoint_every(checkpoint_every)
+    mode = ("sampled" if sampling_config is not None
+            else "checkpointed" if every is not None else "full")
+    env_obs = (ObservabilityConfig.from_env() if observability is None
+               else None)
+    # None defers to REPRO_LIVE*, True publishes with defaults; a
+    # LiveConfig, or a ready LiveTelemetry, passes through.
+    if live is None:
+        live = LiveConfig.from_env()
+    elif live is True:
+        live = LiveConfig()
+    elif live is False:
+        live = None
+    n = len(specs)
+    _reject_unsupported(mode, n, every, observability, env_obs, uop_log,
+                        live)
+    if invariant_checks is None:
+        checker = InvariantChecker.from_env()
+    else:
+        checker = InvariantChecker() if invariant_checks else None
+
     names: List[str] = []
     configs: List["ProcessorConfig"] = []  # noqa: F821
     for config, name in specs:
@@ -161,13 +226,22 @@ def run_cosim(specs: Sequence[CosimSpec],
     program, execution, stream_key = prep.get_oracle(benchmark, length)
     oracle = execution.stream
     bench_name = benchmark if isinstance(benchmark, str) else program.name
-    sampling_config = resolve_sampling(sampling)
-    n = len(specs)
+
+    manager = resume = None
+    if every is not None:
+        stream_fp = prep.stream_fingerprint(stream_key, program)
+        manager = checkpoint.CheckpointManager(
+            checkpoint.run_fingerprint(
+                configs[0], stream_fp, warm,
+                sampling_config.as_tuple() if sampling_config else None,
+                every),
+            description=f"{names[0]}/{bench_name}")
+        resume = manager.latest()
 
     savings: Dict[str, float] = {"cosim.jobs": float(n)}
-    prep_before = prep.PREP_STATS.as_dict()
     snapshots: Dict = {}
-    if warm:
+    if warm and resume is None:
+        prep_before = prep.PREP_STATS.as_dict()
         snapshots = prep.warm_group_snapshots(configs, oracle, stream_key,
                                               pin=program)
         prep_after = prep.PREP_STATS.as_dict()
@@ -177,132 +251,73 @@ def run_cosim(specs: Sequence[CosimSpec],
                 savings[key] = delta
     # Clones each group snapshot still owes; the last one drops it.
     owed = Counter(prep.snapshot_key(stream_key, c) for c in configs)
-
-    def warm_sibling(processor: Processor) -> None:
-        prep.warm_from_snapshot(processor, oracle, stream_key, pin=program,
-                                snapshots=snapshots)
-        snapshot_key = prep.snapshot_key(stream_key, processor.config)
-        owed[snapshot_key] -= 1
-        if not owed[snapshot_key]:
-            snapshots.pop(snapshot_key, None)
-
     shared = (SharedStream(oracle)
               if PerfConfig.from_env().fast else None)
 
-    results: List[SimulationResult] = []
-    if sampling_config is None:
-        # Full-detail mode.  Sharing is stream-level (decode cache, SoA
-        # tables, warm snapshots) and every shared structure is a pure
-        # keyed function, so sibling order — sequential here — cannot
-        # affect any result; cycle-interleaving would buy nothing.
-        for processor_config, name in zip(configs, names):
-            obs = Observability.from_env()
-            live = _resolve_live(None, bench_name, name, "full")
-            processor = Processor(processor_config, program, oracle,
-                                  obs=obs, live=live, shared=shared)
-            if warm:
-                warm_sibling(processor)
-            processor.run()
-            if live is not None:
-                live.publish_final(processor)
-            results.append(SimulationResult(
-                benchmark=bench_name,
-                config_name=name,
-                cycles=processor.now,
-                committed=processor.committed,
-                counters=processor.stats.as_dict(),
-            ))
+    def build(processor_config, name: str) -> Processor:
+        """One processor of the group, warmed or restored."""
+        obs = observability
+        if obs is None and env_obs.enabled:
+            obs = Observability(env_obs)
+        publisher = live
+        if isinstance(live, LiveConfig):
+            publisher = LiveTelemetry(live, benchmark=bench_name,
+                                      config_name=name, mode=mode)
+        processor = Processor(processor_config, program, oracle,
+                              invariants=checker, obs=obs, live=publisher,
+                              shared=shared)
+        processor.uop_log = uop_log
+        if resume is not None:
+            resume.restore(processor)
+            checkpoint.CHECKPOINT_STATS.add("checkpoint.resumed")
+        elif warm:
+            prep.warm_from_snapshot(processor, oracle, stream_key,
+                                    pin=program, snapshots=snapshots)
+            snapshot_key = prep.snapshot_key(stream_key, processor_config)
+            owed[snapshot_key] -= 1
+            if not owed[snapshot_key]:
+                snapshots.pop(snapshot_key, None)
+        return processor
+
+    def run_full(processor_config, name: str) -> SimulationResult:
+        """Build, run and drop one processor in full detail."""
+        processor = build(processor_config, name)
+        processor.stamp_summary(timed_out=not _run_segments(
+            processor, every, manager, max_cycles))
+        if processor.live is not None:
+            processor.live.publish_final(processor)
+        return SimulationResult(
+            benchmark=bench_name,
+            config_name=name,
+            cycles=processor.now,
+            committed=processor.committed,
+            counters=processor.stats.as_dict(),
+        )
+
+    if sampling_config is not None:
+        # Unit-lockstep: the whole group is alive for the whole run.
+        processors = [build(config, name)
+                      for config, name in zip(configs, names)]
+        results = run_sampled(processors, oracle, sampling_config, names,
+                              bench_name, warm=warm, max_cycles=max_cycles,
+                              checkpoint_every=every,
+                              checkpoint_manager=manager, resume=resume,
+                              unit_hook=unit_hook)
+        # Warm gaps fast-forward once for the whole group.
+        gap_insts = results[0].counter("sampling.gap_insts_warmed")
+        savings["cosim.gap_insts_shared"] = (gap_insts * (n - 1)
+                                             if warm else 0.0)
     else:
-        # Sampled mode: unit-lockstep.  Measured units detail-simulate
-        # every sibling; each gap is fast-forwarded once (warm mode) via
-        # the shared touch list and replayed per sibling.
-        raw_pos, total, total_units, measured_units = unit_geometry(
-            oracle, sampling_config)
-        unit = sampling_config.unit
-
-        processors: List[Processor] = []
-        obs_list: List[Observability] = []
-        lives: List[object] = []
-        accs: List[SampleAccum] = []
-        warmers: List[WarmingState] = []
-        for processor_config, name in zip(configs, names):
-            obs = Observability.from_env()
-            live = _resolve_live(None, bench_name, name, "sampled")
-            processor = Processor(processor_config, program, oracle,
-                                  obs=obs, live=live, shared=shared)
-            if warm:
-                warm_sibling(processor)
-            processors.append(processor)
-            obs_list.append(obs)
-            lives.append(live)
-            accs.append(SampleAccum())
-            warmers.append(WarmingState(processor))
-
-        cursor = 0        # identical across siblings by construction
-        seen_line = -1    # shared gap I-line carry (stream-dependent)
-        gap_shared = 0
-        for ui in range(len(measured_units)):
-            j = measured_units[ui]
-            m_start = j * unit
-            m_end = min(m_start + unit, total)
-            w_start = max(m_start - sampling_config.warmup, cursor)
-
-            if w_start > cursor:
-                gap = oracle[raw_pos[cursor]:raw_pos[w_start]]
-                if warm:
-                    touches, seen_line = _gap_touches(gap, seen_line)
-                    for i, processor in enumerate(processors):
-                        obs = obs_list[i]
-                        profiler = obs.profiler if obs is not None else None
-                        t0 = (profiler.start()
-                              if profiler is not None else 0.0)
-                        _replay_touches(processor.memory, touches)
-                        if profiler is not None:
-                            profiler.stop("warm", t0)
-                    gap_shared += (w_start - cursor) * (n - 1)
-                else:
-                    # Pure-SMARTS gaps train per-sibling predictors;
-                    # that work is config state, so it cannot be shared.
-                    for i, warmer in enumerate(warmers):
-                        obs = obs_list[i]
-                        profiler = obs.profiler if obs is not None else None
-                        t0 = (profiler.start()
-                              if profiler is not None else 0.0)
-                        warmer.feed(gap)
-                        warmer.discard_partial()
-                        if profiler is not None:
-                            profiler.stop("warm", t0)
-                for acc in accs:
-                    acc.gap_insts += w_start - cursor
-
-            for i, processor in enumerate(processors):
-                measure_unit(processor, accs[i], w_start, m_start, m_end)
-                live = lives[i]
-                if live is not None:
-                    mean, _, halfwidth = _cpi_stats(accs[i].unit_cycles,
-                                                    accs[i].unit_insts)
-                    live.note_sampling(
-                        unit=ui + 1,
-                        units_total=len(measured_units),
-                        measured_insts=sum(accs[i].unit_insts),
-                        cpi_mean=round(mean, 6),
-                        cpi_halfwidth=round(halfwidth, 6),
-                        ipc_halfwidth_rel=(round(halfwidth / mean, 6)
-                                           if mean else 0.0))
-                    live.publish(processor)
-            cursor = m_end
-            if unit_hook is not None:
-                unit_hook(ui, processors)
-
-        savings["cosim.gap_insts_shared"] = float(gap_shared)
-        for i, name in enumerate(names):
-            results.append(finalize_sampled(
-                processors[i], accs[i], sampling_config, total, total_units,
-                name, bench_name, observability=obs_list[i], live=lives[i]))
+        # Sharing is stream-level and every shared structure is a pure
+        # keyed function, so processors run one after another, each
+        # dropped before the next is built: a large group's peak memory
+        # stays that of a single run.
+        results = [run_full(config, name)
+                   for config, name in zip(configs, names)]
 
     if shared is not None:
         # Decode entries are built once and served to the other n-1
-        # siblings; misses count the builds (including any re-builds).
+        # processors; misses count the builds (including re-builds).
         savings["cosim.shared_decode"] = float(
             shared.decode_cache.misses * (n - 1))
     return results, savings

@@ -6,9 +6,10 @@ Two cooperating pieces live here:
   decoded programs, oracle streams (in-process and on-disk under
   ``.repro_cache/streams/``), and trained-predictor snapshots that are
   cloned into each run instead of retrained from scratch.
-* :mod:`repro.sampling.engine` — the interval-sampling engine:
+* :mod:`repro.sampling.engine` — the interval-sampling schedule:
   :func:`run_sampled` detail-simulates every *k*-th unit of the stream
-  (each preceded by a detailed warm-up prefix), functionally
+  (each preceded by a detailed warm-up prefix) on each processor of a
+  :func:`~repro.perf.cosim.run_cosim` group, functionally
   fast-forwards the gaps via :class:`repro.core.warming.WarmingState`,
   and extrapolates a full :class:`~repro.core.simulation.SimulationResult`
   with ``sampling.*`` confidence metadata.

@@ -28,18 +28,15 @@ so callers can *measure* the sampling error instead of guessing it.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config import ProcessorConfig
+from repro.config import env_int
 from repro.core.processor import Processor
 from repro.core.simulation import SimulationResult
-from repro.core.warming import WarmingState, warm_processor
+from repro.core.warming import WarmingState, cache_touches
 from repro.emulator.stream import DynamicInstruction
 from repro.errors import ReproError
-from repro.isa.program import Program
-from repro.sampling.prep import StreamKey, warm_from_snapshot
 from repro.stats import StatsCollector
 
 #: Environment knobs (registered in repro.config.ENV_KNOBS).
@@ -53,19 +50,12 @@ DEFAULT_WARMUP = 1000
 
 
 def _env_int(name: str, default: int, minimum: int) -> int:
-    """An integer knob from the environment, or *default*.
-
-    Unset, blank, and below-*minimum* values all fall back to the
-    default.  The explicit minimum check matters: the natural
-    ``int(os.environ.get(name) or default)`` treats the *string* ``"0"``
-    as truthy, so ``REPRO_SAMPLE=0`` (every documented knob's "off"
-    spelling) would parse to a literal 0 and crash config validation
-    instead of deferring — the regression the test suite pins.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    value = int(raw)
+    """An integer knob from the environment (see
+    :func:`~repro.config.env_int`), or *default* when unset, blank or
+    below *minimum* — so ``REPRO_SAMPLE=0``, every documented knob's
+    "off" spelling, defers instead of crashing config validation (the
+    regression the test suite pins)."""
+    value = env_int(name, default)
     return value if value >= minimum else default
 
 #: 95% two-sided normal quantile for the CLT confidence interval.
@@ -174,48 +164,47 @@ def unit_geometry(oracle: Sequence[DynamicInstruction],
     return raw_pos, total, total_units, measured_units
 
 
+@dataclass
 class SampleAccum:
-    """Mutable per-run sampling accumulators.
+    """Mutable per-processor sampling accumulators.
 
-    One instance per simulated config; :func:`run_sampled` owns a single
-    one, the co-simulation engine one per sibling.  Keeping the loop
-    state in one object is what lets both engines share
-    :func:`measure_unit` and :func:`finalize_sampled` — the bit-identity
-    contract between them is enforced by running the same code.
+    One instance per processor of a :func:`run_sampled` group; keeping
+    the loop state in one object is what lets :func:`measure_unit` and
+    :func:`finalize_sampled` stay per-processor while the schedule is
+    the group's.  Plain data, so a checkpoint carries it as
+    ``dataclasses.asdict``.
     """
 
-    __slots__ = ("cursor", "gap_insts", "warmup_cycles", "warmup_insts",
-                 "timeouts", "unit_insts", "unit_cycles",
-                 "measured_counters")
-
-    def __init__(self) -> None:
-        self.cursor = 0
-        self.gap_insts = 0
-        self.warmup_cycles = 0
-        self.warmup_insts = 0
-        self.timeouts = 0
-        self.unit_insts: List[int] = []
-        self.unit_cycles: List[int] = []
-        self.measured_counters: Dict[str, float] = {}
+    cursor: int = 0
+    gap_insts: int = 0
+    warmup_cycles: int = 0
+    warmup_insts: int = 0
+    timeouts: int = 0
+    unit_insts: List[int] = field(default_factory=list)
+    unit_cycles: List[int] = field(default_factory=list)
+    measured_counters: Dict[str, float] = field(default_factory=dict)
 
 
 def measure_unit(processor: Processor, acc: SampleAccum,
-                 w_start: int, m_start: int, m_end: int) -> None:
+                 w_start: int, m_start: int, m_end: int,
+                 max_cycles: Optional[int] = None) -> None:
     """One detailed window: warm-up prefix then the measured unit.
 
     Warm-up cycles are discarded; the measured unit's counter deltas
     bracket exactly ``[m_start, m_end)`` and accumulate into *acc*.
+    *max_cycles* bounds each of the two segments; a segment that hits
+    it counts one window timeout.
     """
     processor.restart_at(w_start)
     before = processor.now
-    if not processor.run_until(m_start):
+    if not processor.run_until(m_start, max_cycles):
         acc.timeouts += 1
     acc.warmup_cycles += processor.now - before
     acc.warmup_insts += m_start - w_start
 
     before = processor.now
     snapshot = dict(processor.stats.as_dict())
-    if not processor.run_until(m_end):
+    if not processor.run_until(m_end, max_cycles):
         acc.timeouts += 1
     cycles = processor.now - before
     measured = acc.measured_counters
@@ -230,14 +219,14 @@ def measure_unit(processor: Processor, acc: SampleAccum,
 
 def finalize_sampled(processor: Processor, acc: SampleAccum,
                      sampling: SamplingConfig, total: int,
-                     total_units: int, config_name: str, benchmark: str,
-                     observability=None, live=None) -> SimulationResult:
+                     total_units: int, config_name: str,
+                     benchmark: str) -> SimulationResult:
     """Extrapolate a full-run :class:`SimulationResult` from *acc*.
 
     SMARTS aggregation (CPI = mean of per-unit CPIs, 95% CLT interval),
-    counter scaling, ``sampling.*`` bookkeeping and the observability
-    fold-in — shared verbatim by :func:`run_sampled` and the
-    co-simulation engine.
+    counter scaling, ``sampling.*`` bookkeeping, the fold-in of the
+    processor's observability summaries (exact host-side measurements,
+    not extrapolations) and its live publisher's final snapshot.
     """
     k = len(acc.unit_cycles)
     cpi_mean, cpi_std, halfwidth = _cpi_stats(acc.unit_cycles,
@@ -272,26 +261,12 @@ def finalize_sampled(processor: Processor, acc: SampleAccum,
         "sampling.ipc_halfwidth_rel": (halfwidth / cpi_mean
                                        if cpi_mean else 0.0),
     })
-    if observability is not None:
-        # run_until never finalises obs; fold the host-side summaries
-        # (exact measurements, not extrapolations) into the counters
-        # here.  Auto-export mirrors Observability.finalize.
+    if processor.obs is not None:
         obs_stats = StatsCollector()
-        if observability.profiler is not None:
-            observability.profiler.to_counters(obs_stats)
-        if observability.tracer is not None:
-            obs_stats.set("obs.trace.events",
-                          len(observability.tracer.events))
-            obs_stats.set("obs.trace.dropped", observability.tracer.dropped)
+        processor.obs.finalize(processor, obs_stats)
         counters.update(obs_stats.as_dict())
-        if (observability.tracer is not None
-                and observability.config.trace_path):
-            observability.export_trace(
-                observability.config.trace_path,
-                process_name=processor.program.name,
-                sequencers=processor.config.frontend.sequencers)
-    if live is not None:
-        live.publish_final(processor)
+    if processor.live is not None:
+        processor.live.publish_final(processor)
     return SimulationResult(
         benchmark=benchmark,
         config_name=config_name,
@@ -301,60 +276,45 @@ def finalize_sampled(processor: Processor, acc: SampleAccum,
     )
 
 
-def run_sampled(processor_config: ProcessorConfig,
-                program: Program,
+def run_sampled(processors: Sequence[Processor],
                 oracle: Sequence[DynamicInstruction],
                 sampling: SamplingConfig,
-                config_name: str,
+                names: Sequence[str],
                 benchmark: str,
                 warm: bool = True,
-                stream_key: Optional[StreamKey] = None,
-                pin: object = None,
+                max_cycles: Optional[int] = None,
                 checkpoint_every: Optional[int] = None,
                 checkpoint_manager=None,
-                observability=None,
-                live=None) -> SimulationResult:
-    """Interval-sample *oracle* and extrapolate a full-run result.
+                resume=None,
+                unit_hook: Optional[Callable] = None
+                ) -> List[SimulationResult]:
+    """Interval-sample *oracle* on every processor of a co-sim group.
 
-    With ``warm=True`` the processor is first functionally warmed on the
-    whole stream (through the snapshot cache when *stream_key* is
-    given), matching the steady-state methodology of full-detail runs,
-    and gaps then maintain cache recency only; ``warm=False`` is the
-    pure-SMARTS mode where gap warming alone trains the structures.
+    The processors, built and warmed (or restored) by
+    :func:`repro.perf.cosim.run_cosim`, advance unit-lockstep: each gap
+    is fast-forwarded functionally, then each processor runs the
+    window's warm-up and measured segments (:func:`measure_unit`).
+    With ``warm=True`` the processors were pre-warmed on the whole
+    stream and gaps only maintain cache recency: one
+    :func:`~repro.core.warming.cache_touches` list per gap, a function
+    of the stream alone, is replayed into each processor.  ``warm=False``
+    is the pure-SMARTS mode where gap warming alone trains the
+    structures.  Returns one extrapolated result per processor,
+    labelled by *names*.
 
-    With a *checkpoint_manager* (see :mod:`repro.checkpoint`), the run
-    snapshots its state at measured-unit boundaries roughly every
-    *checkpoint_every* stream instructions and resumes from the newest
-    valid snapshot.  Sampled runs already restart the pipeline at every
-    window, so checkpointing is perturbation-free here: results are
+    With a *checkpoint_manager* (a group of one; see
+    :mod:`repro.checkpoint`) the run snapshots at measured-unit
+    boundaries roughly every *checkpoint_every* stream instructions, and
+    *resume* (a snapshot already restored into the processor) supplies
+    the loop state.  Windows restart the pipeline anyway, so results are
     bit-identical with checkpointing on, off, or resumed mid-stream.
 
-    The returned result's extrapolated counters are *estimates* scaled
-    from the measured windows; ``sampling.*`` entries (units, discarded
-    warm-up cycles, CPI confidence half-width) are exact measurements.
-
-    An *observability* bundle attaches its profiler and tracer to the
-    detailed windows (``obs.profile.*`` / ``obs.trace.*`` land in the
-    returned counters, with gap fast-forwarding charged to a ``warm``
-    phase); the metrics recorder stays idle in sampled mode since the
-    run loop here is driven through ``run_until``.  A *live* publisher
-    (:class:`~repro.obs.live.LiveTelemetry`) additionally snapshots
-    window progress and per-unit confidence to its status file; both
-    are read-only and leave the result bit-identical.
+    A processor's profiler charges gap fast-forwarding to a ``warm``
+    phase; its live publisher snapshots progress and the rolling
+    confidence after each unit.  *unit_hook*, a test seam, is called as
+    ``unit_hook(ui, processors)`` after each measured unit.
     """
     from repro import checkpoint as ckpt
-
-    processor = Processor(processor_config, program, oracle,
-                          obs=observability, live=live)
-    profiler = (observability.profiler
-                if observability is not None else None)
-    snap = (checkpoint_manager.latest()
-            if checkpoint_manager is not None else None)
-    if snap is None and warm:
-        if stream_key is not None:
-            warm_from_snapshot(processor, oracle, stream_key, pin=pin)
-        else:
-            warm_processor(processor, oracle)
 
     # Unit geometry is over the non-NOP stream (the processor's commit
     # index space); raw_pos maps a non-NOP index back to the raw stream
@@ -362,99 +322,87 @@ def run_sampled(processor_config: ProcessorConfig,
     raw_pos, total, total_units, measured_units = unit_geometry(oracle,
                                                                 sampling)
     unit = sampling.unit
-
-    warmer = WarmingState(processor)
-    acc = SampleAccum()
+    warmers = [WarmingState(processor) for processor in processors]
+    accs = [SampleAccum() for _ in processors]
     start_ui = 0
-    last_ckpt = 0
-
-    if snap is not None:
-        # Resume: processor state (predictors, caches, MSHRs, stats,
-        # now) comes from the snapshot; the loop accumulators ride in
-        # its ``extra`` payload.  The next iteration's restart_at
-        # supersedes the restore's re-entry point.
-        snap.restore(processor)
-        extra = snap.extra
-        start_ui = extra["ui"]
-        acc.cursor = extra["cursor"]
-        acc.gap_insts = extra["gap_insts"]
-        acc.warmup_cycles = extra["warmup_cycles"]
-        acc.warmup_insts = extra["warmup_insts"]
-        acc.timeouts = extra["timeouts"]
-        acc.unit_insts = list(extra["unit_insts"])
-        acc.unit_cycles = list(extra["unit_cycles"])
-        acc.measured_counters = dict(extra["measured_counters"])
-        warmer._seen_line = extra["seen_line"]
-        last_ckpt = acc.cursor
-        ckpt.CHECKPOINT_STATS.add("checkpoint.resumed")
+    seen_line = -1    # the gap I-line carry, a function of the stream
+    if resume is not None:
+        start_ui = resume.extra["ui"]
+        seen_line = resume.extra["seen_line"]
+        accs = [SampleAccum(**resume.extra["acc"])]
+        warmers[0]._seen_line = seen_line
+    cursor = accs[0].cursor
+    last_ckpt = cursor
 
     for ui in range(start_ui, len(measured_units)):
         j = measured_units[ui]
         m_start = j * unit
         m_end = min(m_start + unit, total)
-        w_start = max(m_start - sampling.warmup, acc.cursor)
+        w_start = max(m_start - sampling.warmup, cursor)
 
         # Functional fast-forward of the gap (raw slice: NOPs included
         # for cache touches, exactly as pre-run warming would see them).
-        if w_start > acc.cursor:
-            gap = oracle[raw_pos[acc.cursor]:raw_pos[w_start]]
-            t0 = profiler.start() if profiler is not None else 0.0
-            if warm:
-                warmer.feed_caches(gap)
-            else:
-                warmer.feed(gap)
-                warmer.discard_partial()
-            if profiler is not None:
-                profiler.stop("warm", t0)
-            acc.gap_insts += w_start - acc.cursor
+        if w_start > cursor:
+            gap = oracle[raw_pos[cursor]:raw_pos[w_start]]
+            touches = cache_touches(gap, seen_line) if warm else None
+            seen_line = gap[-1].pc >> 6
+            for processor, warmer, acc in zip(processors, warmers, accs):
+                profiler = (processor.obs.profiler
+                            if processor.obs is not None else None)
+                t0 = profiler.start() if profiler is not None else 0.0
+                if warm:
+                    warmer.feed_caches(touches)
+                else:
+                    warmer.feed(gap)
+                    warmer.discard_partial()
+                if profiler is not None:
+                    profiler.stop("warm", t0)
+                acc.gap_insts += w_start - cursor
 
         # Detailed warm-up prefix (cycles discarded, structures trained
         # by the commit carver) then the measured unit: counter deltas
         # bracket exactly that window.
-        measure_unit(processor, acc, w_start, m_start, m_end)
-
-        if live is not None:
-            # Unit boundaries are the natural progress ticks in sampled
-            # mode; publish the rolling confidence alongside the gauges.
-            mean, _, halfwidth = _cpi_stats(acc.unit_cycles, acc.unit_insts)
-            live.note_sampling(
-                unit=ui + 1,
-                units_total=len(measured_units),
-                measured_insts=sum(acc.unit_insts),
-                cpi_mean=round(mean, 6),
-                cpi_halfwidth=round(halfwidth, 6),
-                ipc_halfwidth_rel=round(halfwidth / mean, 6) if mean
-                else 0.0)
-            live.publish(processor)
+        for processor, acc in zip(processors, accs):
+            measure_unit(processor, acc, w_start, m_start, m_end,
+                         max_cycles)
+            live = processor.live
+            if live is not None:
+                # Unit boundaries are the natural progress ticks in
+                # sampled mode; publish the rolling confidence too.
+                mean, _, halfwidth = _cpi_stats(acc.unit_cycles,
+                                                acc.unit_insts)
+                live.note_sampling(
+                    unit=ui + 1,
+                    units_total=len(measured_units),
+                    measured_insts=sum(acc.unit_insts),
+                    cpi_mean=round(mean, 6),
+                    cpi_halfwidth=round(halfwidth, 6),
+                    ipc_halfwidth_rel=(round(halfwidth / mean, 6)
+                                       if mean else 0.0))
+                live.publish(processor)
+        cursor = m_end
+        if unit_hook is not None:
+            unit_hook(ui, processors)
 
         # Measured-unit boundaries are drained checkpoint seams already;
         # capture is read-only, so storing perturbs nothing.
-        if (checkpoint_manager is not None and checkpoint_every
+        if (checkpoint_manager is not None
                 and ui + 1 < len(measured_units)
-                and acc.cursor - last_ckpt >= checkpoint_every):
-            extra = {
-                "ui": ui + 1,
-                "cursor": acc.cursor,
-                "gap_insts": acc.gap_insts,
-                "warmup_cycles": acc.warmup_cycles,
-                "warmup_insts": acc.warmup_insts,
-                "timeouts": acc.timeouts,
-                "unit_insts": list(acc.unit_insts),
-                "unit_cycles": list(acc.unit_cycles),
-                "measured_counters": dict(acc.measured_counters),
-                "seen_line": warmer._seen_line,
-            }
+                and cursor - last_ckpt >= checkpoint_every):
+            processor = processors[0]
+            extra = {"acc": asdict(accs[0]), "ui": ui + 1,
+                     "seen_line": seen_line}
             checkpoint_manager.store(
                 ckpt.ProcessorSnapshot.capture(
                     processor, checkpoint_manager.fingerprint, extra=extra),
-                ordinal=acc.cursor // checkpoint_every)
-            last_ckpt = acc.cursor
-            if live is not None:
-                live.note_checkpoint(acc.cursor // checkpoint_every)
+                ordinal=cursor // checkpoint_every)
+            last_ckpt = cursor
+            if processor.live is not None:
+                processor.live.note_checkpoint(cursor // checkpoint_every)
     # The trailing gap (after the last measured unit) warms nothing.
     if checkpoint_manager is not None:
         checkpoint_manager.clear()
 
-    return finalize_sampled(processor, acc, sampling, total, total_units,
-                            config_name, benchmark,
-                            observability=observability, live=live)
+    return [finalize_sampled(processor, acc, sampling, total, total_units,
+                             name, benchmark)
+            for processor, acc, name in zip(processors, accs, names)]

@@ -353,28 +353,14 @@ def warm_from_snapshot(processor: "Processor", oracle,
     training in place — but the training cost is paid once per
     (stream, warm config) instead of once per run.  *snapshots*, a
     co-sim group's mapping from :func:`warm_group_snapshots`, is
-    consulted before the process-wide cache.
+    consulted first; otherwise the process-wide cache serves (or a
+    group of one trains) the snapshot.
     """
-    from repro.core.warming import WarmingState
-
     cache_key = snapshot_key(key, processor.config)
     snapshot = snapshots.get(cache_key) if snapshots is not None else None
     if snapshot is None:
-        snapshot = _snapshots.get(cache_key)
-        if snapshot is not None:
-            _snapshots.move_to_end(cache_key)
-    if snapshot is None:
-        PREP_STATS.add("prep.snapshot_trains")
-        snapshot = _WarmSnapshot(processor.config, pin)
-        state = WarmingState(_Donor(processor.config, snapshot))
-        state.feed(oracle)
-        state.finish()
-        _snapshots[cache_key] = snapshot
-        if len(_snapshots) > _SNAPSHOT_CAP:
-            _snapshots.popitem(last=False)
-    else:
-        PREP_STATS.add("prep.snapshot_hits")
-
+        snapshot = warm_group_snapshots([processor.config], oracle, key,
+                                        pin=pin)[cache_key]
     processor.adopt_warm_state(snapshot)
     # Same post-warming contract as warm_processor: clean stats, empty
     # speculative history (the snapshot's history is already empty, but
@@ -402,7 +388,8 @@ def warm_group_snapshots(configs, oracle, key: StreamKey,
     (:data:`_SNAPSHOT_CAP`) would otherwise find its first snapshots
     evicted and retrain them one by one.
 
-    Counts ``prep.snapshot_trains`` per digest built (same as serial)
+    Counts ``prep.snapshot_trains`` per digest built (same as serial),
+    ``prep.snapshot_hits`` per digest the process-wide cache served,
     plus ``prep.snapshot_group_shared`` for every stream pass *saved*
     by sharing (digests beyond the first in each group).
     """
@@ -416,6 +403,7 @@ def warm_group_snapshots(configs, oracle, key: StreamKey,
             continue
         cached = _snapshots.get(cache_key)
         if cached is not None:
+            PREP_STATS.add("prep.snapshot_hits")
             _snapshots.move_to_end(cache_key)
             snapshots[cache_key] = cached
         else:

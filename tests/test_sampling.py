@@ -31,14 +31,14 @@ import pytest
 
 from repro import frontend_config, run_simulation
 from repro.core.processor import Processor
-from repro.core.warming import WarmingState, warm_processor
+from repro.core.warming import WarmingState, cache_touches, warm_processor
 from repro.emulator.machine import Machine
 from repro.errors import ReproError, SimulationError
 from repro.experiments.runner import SweepJob, run_job
 from repro.sampling import SamplingConfig, clear_prep_caches
 from repro.sampling import engine as sampling_engine
 from repro.sampling import prep
-from repro.sampling.engine import resolve_sampling, run_sampled
+from repro.sampling.engine import resolve_sampling
 from repro.workloads import suite
 
 #: The accuracy harness scale: 8x the default experiment length, where
@@ -78,6 +78,19 @@ def structure_state(processor):
     if processor.trace_cache is not None:
         state["tc"] = [list(s.items()) for s in processor.trace_cache._sets]
     return state
+
+
+def fill_log(processor):
+    """Record every cache fill of *processor* as ``(cache, address)``."""
+    log = []
+    for name in ("l1i", "l1d", "l2"):
+        cache = getattr(processor.memory, name)
+
+        def fill(addr, fill=cache.fill, name=name):
+            log.append((name, addr))
+            return fill(addr)
+        cache.fill = fill
+    return log
 
 
 def _bundles(cache_dir, name):
@@ -152,13 +165,35 @@ class TestChunkedWarmingParity:
     def test_feed_caches_trains_nothing(self):
         processor, stream = make_processor(config_name="tc")
         state = WarmingState(processor)
-        state.feed_caches(stream)
+        state.feed_caches(cache_touches(stream))
         assert len(processor.bimodal) == 0
         assert processor.trace_predictor.primary_occupancy == 0
         assert sum(len(s) for s in processor.trace_cache._sets) == 0
         first_pc = stream[0].pc
         assert processor.memory.l1i.probe(first_pc) or \
             processor.memory.l2.probe(first_pc)
+
+    def test_touch_replay_matches_full_warming_caches(self):
+        """The gap warmer against an independent oracle: replaying touch
+        lists gap by gap, carrying the I-line as the sampled schedule
+        does, fills the caches in exactly the order full functional
+        warming does and leaves every set (tags and LRU order) equal."""
+        replayed, stream = make_processor("tc", "gzip", 6000)
+        fed, _ = make_processor("tc", "gzip", 6000)
+        replayed_fills, fed_fills = fill_log(replayed), fill_log(fed)
+        state = WarmingState(replayed)
+        seen_line = -1
+        for start in range(0, len(stream), 977):
+            gap = stream[start:start + 977]
+            state.feed_caches(cache_touches(gap, seen_line))
+            seen_line = gap[-1].pc >> 6
+        WarmingState(fed).feed(stream)
+        assert replayed_fills == fed_fills
+        for name in ("l1i", "l1d", "l2"):
+            assert ([list(s.keys()) for s in
+                     getattr(replayed.memory, name)._sets]
+                    == [list(s.keys()) for s in
+                        getattr(fed.memory, name)._sets]), name
 
 
 class TestSnapshotWarming:
@@ -530,10 +565,9 @@ class TestSampledAccuracy:
                              watchdog=None, invariants=None)
             prep.warm_from_snapshot(full, oracle, key, pin=program)
             full.run()
-            sampled = run_sampled(config, program, oracle,
-                                  SamplingConfig(), config_name=config_name,
-                                  benchmark=ACCURACY_BENCHMARK,
-                                  warm=True, stream_key=key, pin=program)
+            sampled = run_simulation(config_name, ACCURACY_BENCHMARK,
+                                     max_instructions=ACCURACY_INSTRUCTIONS,
+                                     sampling=SamplingConfig())
             cls._pairs[config_name] = (full.committed / full.now, sampled)
         return cls._pairs[config_name]
 
