@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional
 
-from repro.config import env_flag
+from repro.config import env_flag, env_int
 from repro.core.uop import UopState
 from repro.errors import DeadlockError, InvariantError
 
@@ -100,9 +100,12 @@ class PipelineWatchdog:
 
     @classmethod
     def from_env(cls) -> Optional["PipelineWatchdog"]:
-        """Default watchdog; ``REPRO_WATCHDOG_CYCLES=0`` disables it."""
-        raw = os.environ.get(WATCHDOG_ENV)
-        limit = DEFAULT_STALL_CYCLES if not raw else int(raw)
+        """Default watchdog; ``REPRO_WATCHDOG_CYCLES=0`` disables it.
+
+        Raises :class:`~repro.errors.ConfigError` when the variable is
+        not an integer.
+        """
+        limit = env_int(WATCHDOG_ENV, DEFAULT_STALL_CYCLES)
         return cls(stall_limit=limit) if limit > 0 else None
 
     @property

@@ -65,6 +65,26 @@ _FROM_ENV = object()
 PHASE_NAMES = ("execute", "commit", "rename", "fetch")
 
 
+def _unlink(uops: List[MicroOp]) -> None:
+    """Cut the dataflow links of micro-ops that will never complete.
+
+    A producer lists its consumers and each consumer its producers, so
+    an uncompleted uop and its waiters form reference cycles; cut here,
+    where the uops die, a run's object graph stays acyclic and the run
+    driver can pause the cyclic collector (docs/DATA_LAYOUT.md § 10).
+    """
+    for uop in uops:
+        uop.sources = []
+        uop.consumers = []
+
+
+def _squash(uops: List[MicroOp]) -> None:
+    """Squash *uops* and cut their dataflow links (see :func:`_unlink`)."""
+    for uop in uops:
+        uop.state = UopState.SQUASHED
+    _unlink(uops)
+
+
 class Processor:
     """One simulated processor instance (one benchmark run)."""
 
@@ -141,15 +161,17 @@ class Processor:
         #: The selected loop's phases in reverse pipeline order (names in
         #: :data:`PHASE_NAMES`): :meth:`step` runs them, the profiled
         #: loop times them.  Fetch-time oracle tagging differs the same
-        #: way; both taggers produce identical ``records``.
+        #: way; both taggers produce identical ``records``.  Plain
+        #: functions called with the processor: bound methods stored on
+        #: ``self`` would tie it into a reference cycle.
         if self._soa is not None:
-            self._phases = (self._execute_soa, self._commit_soa,
-                            self._rename_soa, self._fetch)
-            self._tagger = self._tag_fragment_soa
+            self._phases = (Processor._execute_soa, Processor._commit_soa,
+                            Processor._rename_soa, Processor._fetch)
+            self._tagger = Processor._tag_fragment_soa
         else:
-            self._phases = (self._execute, self._commit, self._rename,
-                            self._fetch)
-            self._tagger = self._tag_fragment
+            self._phases = (Processor._execute, Processor._commit,
+                            Processor._rename, Processor._fetch)
+            self._tagger = Processor._tag_fragment
 
         #: In-flight fragments, oldest first (committed ones are removed).
         self.fragments: List[FragmentInFlight] = []
@@ -272,7 +294,7 @@ class Processor:
             self.now += 1
             for name, phase in phases:
                 t0 = start()
-                phase()
+                phase(self)
                 stop(name, t0)
             t0 = start()
             for observe in observers:
@@ -321,6 +343,7 @@ class Processor:
             raise SimulationError(
                 f"restart index {index} outside oracle stream "
                 f"(0..{len(self._oracle) - 1})")
+        self.unlink_in_flight()
         self._oracle_pos = index
         self._diverged = False
         self._committed = index
@@ -348,12 +371,25 @@ class Processor:
         # as after warming); retire history keeps its trained state.
         self.trace_predictor.restore_history(())
 
+    def unlink_in_flight(self) -> None:
+        """Cut the dataflow links of every uncommitted micro-op in the
+        pipeline (see :func:`_unlink`).
+
+        For where the pipeline is dropped: :meth:`restart_at` calls it,
+        and the run driver once a run's result is taken.  The pipeline
+        must not step again until :meth:`restart_at` rebuilds it.
+        Committed uops keep their links (a uop log may hold them); they
+        cannot close a cycle, since a completed uop lists no consumers.
+        """
+        for fragment in self.fragments:
+            _unlink(fragment.uops[fragment.committed_count:])
+
     def step(self) -> None:
         """Advance the processor by one cycle: the selected loop's
         phases (execute, commit, rename, fetch) in order."""
         self.now += 1
         for phase in self._phases:
-            phase()
+            phase(self)
 
     # -- execute and rename phases ------------------------------------------
     #
@@ -421,7 +457,7 @@ class Processor:
         fragment = self.control.try_next_fragment()
         if fragment is None:
             return
-        self._tagger(fragment)
+        self._tagger(self, fragment)
         if not self.buffers.allocate(fragment, self.now):
             raise SimulationError("buffer allocation failed despite check")
         self.fragments.append(fragment)
@@ -608,8 +644,7 @@ class Processor:
             self._tracer.recovery(fragment, position, target, self.now)
 
         # Truncate the source fragment after the mispredicted instruction.
-        for younger in fragment.uops[position + 1:]:
-            younger.state = UopState.SQUASHED
+        _squash(fragment.uops[position + 1:])
         fragment.uops = fragment.uops[:position + 1]
         fragment.truncated_at = position + 1
         fragment.read_count = position + 1
@@ -663,8 +698,7 @@ class Processor:
 
     def _squash_fragment(self, fragment: FragmentInFlight) -> None:
         fragment.squashed = True
-        for uop in fragment.uops:
-            uop.state = UopState.SQUASHED
+        _squash(fragment.uops)
         for placeholder in fragment.placeholders.values():
             placeholder.invalidated = True
         self.core.release_all(fragment.seq)
@@ -684,8 +718,7 @@ class Processor:
         for candidate in self.fragments:
             if candidate.seq <= fragment.seq or candidate.squashed:
                 continue
-            for uop in candidate.uops:
-                uop.state = UopState.SQUASHED
+            _squash(candidate.uops)
             self.core.release_all(candidate.seq)
             if candidate.buffer_index is None and candidate.read_count:
                 # Buffer already released; hardware would refetch.  The

@@ -163,12 +163,8 @@ class WarmingState:
         # chunk tables for the key the predictors just trained on — these
         # are keyed pure functions, so prebuilding them is as invisible
         # to the timed run as the predictor training above (repeat keys
-        # cost only a memo probe).  getattr: warming also runs against
-        # snapshot donors (sampling/prep.py) that expose only the
-        # predictor/cache surface, not the full Processor API.
-        prewarm = getattr(processor, "prewarm_fragment_key", None)
-        if prewarm is not None:
-            prewarm(fragment.key)
+        # cost only a memo probe).
+        processor.prewarm_fragment_key(fragment.key)
 
     def flush(self) -> None:
         """Train the trailing truncated fragment, if one is pending.
@@ -236,7 +232,7 @@ def cache_touches(records: Iterable[DynamicInstruction],
     return touches
 
 
-def warm_donor_group(donors: Sequence["Processor"],
+def warm_donor_group(donors: Sequence,
                      stream: Sequence[DynamicInstruction]) -> None:
     """Warm every donor in *donors* with one pass over *stream*.
 
@@ -247,7 +243,11 @@ def warm_donor_group(donors: Sequence["Processor"],
     structures (bimodal counters, predictor tables, cache LRU state,
     trace cache) observe exactly the update sequence a solo
     :func:`warm_processor` pass would apply, so the end state is
-    bit-identical per donor (asserted by the parity tests).
+    bit-identical per donor (asserted by the parity tests).  A donor
+    is a warm snapshot's structures without a pipeline
+    (:mod:`repro.sampling.prep`): ``config``, ``stats``, ``bimodal``,
+    ``trace_predictor``, ``liveout_predictor``, ``memory`` and
+    ``trace_cache``.
 
     All donors must share one :class:`~repro.config.FragmentConfig`;
     callers group by it (:func:`repro.sampling.prep.warm_group_snapshots`).
@@ -269,9 +269,6 @@ def warm_donor_group(donors: Sequence["Processor"],
             donor.liveout_predictor.train(fragment.key, liveouts)
             if donor.trace_cache is not None:
                 donor.trace_cache.insert(fragment.key)
-            prewarm = getattr(donor, "prewarm_fragment_key", None)
-            if prewarm is not None:
-                prewarm(fragment.key)
 
     memories = [donor.memory for donor in donors]
     bimodals = [donor.bimodal for donor in donors]

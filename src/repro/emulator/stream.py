@@ -74,15 +74,18 @@ class ExecutionResult:
 
 @contextmanager
 def gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector around a bulk build of records.
+    """Pause the cyclic garbage collector around code that builds no
+    reference cycle.
 
-    Stream records are acyclic and live as long as their stream, so the
-    collector's passes while a stream is built free nothing: they only
-    re-walk the records built so far.  Reference counting frees garbage
-    as usual meanwhile.  The caller's state is restored: the collector
-    is re-enabled only if it was enabled on entry.  The state is
-    process-wide, so when threads pause it at once it is back on as
-    soon as the thread that paused it first leaves.
+    Stream builds (emulation, :func:`decode_stream`) and every run of
+    :func:`repro.perf.cosim.run_cosim` pause it: what they build is
+    acyclic, so the collector's passes meanwhile free nothing and only
+    re-walk long-lived objects.  Reference counting frees garbage as
+    usual.  The caller's state is restored: the collector is re-enabled
+    only if it was enabled on entry, also when the code raises.  The
+    state is process-wide, so when threads pause it at once it is back
+    on as soon as the thread that paused it first leaves.  Also usable
+    as a decorator (``@gc_paused()``).
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.emulator.stream import gc_paused
 from repro.perf.knobs import PerfConfig
 
 #: One co-simulated job: a named config (``run_simulation``'s first two
@@ -126,6 +127,10 @@ def _run_segments(processor, every: Optional[int], manager,
         processor.restart_at(processor.committed)
 
 
+# Every run's object graph is acyclic (docs/DATA_LAYOUT.md § 10), so
+# the cyclic collector's passes during a run free nothing: they only
+# re-walk the stream, the program and the processors' tables.
+@gc_paused()
 def run_cosim(specs: Sequence[CosimSpec],
               benchmark,
               max_instructions: Optional[int] = None,
@@ -180,7 +185,7 @@ def run_cosim(specs: Sequence[CosimSpec],
     """
     from repro import checkpoint
     from repro.config import LiveConfig, ObservabilityConfig
-    from repro.core.invariants import InvariantChecker
+    from repro.core.invariants import InvariantChecker, PipelineWatchdog
     from repro.core.processor import Processor
     from repro.core.simulation import SimulationResult, _resolve_config
     from repro.obs import Observability
@@ -213,6 +218,9 @@ def run_cosim(specs: Sequence[CosimSpec],
         checker = InvariantChecker.from_env()
     else:
         checker = InvariantChecker() if invariant_checks else None
+    # Each processor gets its own watchdog (it tracks that processor's
+    # progress), all with the limit read here.
+    watchdog = PipelineWatchdog.from_env()
 
     names: List[str] = []
     configs: List["ProcessorConfig"] = []  # noqa: F821
@@ -264,6 +272,9 @@ def run_cosim(specs: Sequence[CosimSpec],
             publisher = LiveTelemetry(live, benchmark=bench_name,
                                       config_name=name, mode=mode)
         processor = Processor(processor_config, program, oracle,
+                              watchdog=(None if watchdog is None
+                                        else PipelineWatchdog(
+                                            watchdog.stall_limit)),
                               invariants=checker, obs=obs, live=publisher,
                               shared=shared)
         processor.uop_log = uop_log
@@ -286,6 +297,7 @@ def run_cosim(specs: Sequence[CosimSpec],
             processor, every, manager, max_cycles))
         if processor.live is not None:
             processor.live.publish_final(processor)
+        processor.unlink_in_flight()
         return SimulationResult(
             benchmark=bench_name,
             config_name=name,
@@ -303,6 +315,8 @@ def run_cosim(specs: Sequence[CosimSpec],
                               checkpoint_every=every,
                               checkpoint_manager=manager, resume=resume,
                               unit_hook=unit_hook)
+        for processor in processors:
+            processor.unlink_in_flight()
         # Warm gaps fast-forward once for the whole group.
         gap_insts = results[0].counter("sampling.gap_insts_warmed")
         savings["cosim.gap_insts_shared"] = (gap_insts * (n - 1)

@@ -12,13 +12,12 @@ module-wide because generation and functional emulation are pure.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import FragmentConfig
+from repro.config import FragmentConfig, env_int
 from repro.emulator.machine import Machine
 from repro.emulator.stream import DynamicInstruction, ExecutionResult
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.frontend.fragments import average_fragment_length
 from repro.isa.program import Program
 from repro.workloads.characteristics import (
@@ -34,13 +33,14 @@ DEFAULT_SIM_INSTRUCTIONS = 30_000
 
 
 def default_sim_instructions() -> int:
-    """Experiment length: env override or the library default."""
-    value = os.environ.get(SIM_LENGTH_ENV)
-    if value is None:
-        return DEFAULT_SIM_INSTRUCTIONS
-    length = int(value)
+    """Experiment length: env override or the library default.
+
+    Raises :class:`~repro.errors.ConfigError` when the override is not
+    a positive integer.
+    """
+    length = env_int(SIM_LENGTH_ENV, DEFAULT_SIM_INSTRUCTIONS)
     if length <= 0:
-        raise ReproError(f"{SIM_LENGTH_ENV} must be positive")
+        raise ConfigError(f"{SIM_LENGTH_ENV} must be positive, got {length}")
     return length
 
 

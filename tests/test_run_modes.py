@@ -7,10 +7,19 @@ can honour it, and one a mode (or a group) would ignore raises
 :class:`~repro.errors.ConfigError` naming the argument and the mode,
 before any oracle preparation, instead of returning a result that
 silently lacks what the caller asked for.
+
+``run_cosim`` runs with the cyclic garbage collector paused, which is
+safe because a run in any mode leaves no reference cycle behind: the
+acyclic-run matrix below pins that on both cycle loops.
 """
+
+import dataclasses
+import gc
+from collections import Counter
 
 import pytest
 
+from repro import frontend_config
 from repro.__main__ import main
 from repro.config import LiveConfig, ObservabilityConfig
 from repro.core.invariants import InvariantChecker
@@ -156,7 +165,8 @@ def test_max_cycles_bounds_every_mode():
 
 @pytest.mark.parametrize("setting", [
     "REPRO_SAMPLE=abc", "REPRO_SAMPLE_UNIT=1k", "REPRO_SAMPLE_WARMUP=x",
-    "REPRO_LIVE_EVERY=fast"])
+    "REPRO_LIVE_EVERY=fast", "REPRO_WATCHDOG_CYCLES=abc",
+    "REPRO_SIM_INSTRUCTIONS=lots", "REPRO_SIM_INSTRUCTIONS=0"])
 def test_malformed_numeric_knob_is_config_error(monkeypatch, capsys,
                                                 setting):
     variable, value = setting.split("=")
@@ -164,9 +174,12 @@ def test_malformed_numeric_knob_is_config_error(monkeypatch, capsys,
     if variable in READ_ONLY_WHEN:
         monkeypatch.setenv(*READ_ONLY_WHEN[variable])
     forbid_oracle_prep(monkeypatch)
+    # The run length knob is only read when no length is given.
+    given = variable != "REPRO_SIM_INSTRUCTIONS"
     with pytest.raises(ConfigError, match=variable):
-        run_simulation("w16", "gzip", max_instructions=LENGTH)
-    assert main(["run", "w16", "gzip", "-n", str(LENGTH)]) == 2
+        run_simulation("w16", "gzip", LENGTH if given else None)
+    assert main(["run", "w16", "gzip"]
+                + (["-n", str(LENGTH)] if given else [])) == 2
     assert variable in capsys.readouterr().err
 
 
@@ -186,3 +199,118 @@ def test_group_rejects_per_run_argument(monkeypatch, tmp_path, argument):
     with pytest.raises(ConfigError, match="co-sim group of 2"):
         run_cosim([("w16", None), ("tc", None)], "gzip",
                   max_instructions=LENGTH, **kwargs)
+
+
+ACYCLIC_BENCH = "mcf"
+
+
+def reexecute(name):
+    """Paper config *name* with selective re-execution recovery."""
+    config = frontend_config(name)
+    return config.replace(frontend=dataclasses.replace(
+        config.frontend, liveout_recovery="reexecute"))
+
+
+def acyclic_run(config="pr-2x8w", **kwargs):
+    return run_simulation(config, ACYCLIC_BENCH, max_instructions=LENGTH,
+                          **kwargs)
+
+
+#: Run case -> a call running it (given a scratch directory).  The
+#: results assert the squash paths really ran.
+ACYCLIC_RUNS = {
+    "full-w16": lambda tmp: acyclic_run("w16"),
+    "full-tc": lambda tmp: acyclic_run("tc"),
+    "full-pf-2x8w": lambda tmp: acyclic_run("pf-2x8w"),
+    "full-pr-2x8w-squash": lambda tmp: acyclic_run(),
+    "full-pr-2x8w-reexecute": lambda tmp: acyclic_run(
+        reexecute("pr-2x8w")),
+    "sampled-warm": lambda tmp: acyclic_run(**MODES["sampled"]),
+    "sampled-cold": lambda tmp: acyclic_run(**MODES["sampled"],
+                                            warm=False),
+    "checkpointed": lambda tmp: acyclic_run(**MODES["checkpointed"]),
+    "sampled-checkpointed": lambda tmp: acyclic_run(
+        sampling=MODES["sampled"]["sampling"], checkpoint_every=1000),
+    "group-full": lambda tmp: run_cosim(
+        [("w16", None), ("pr-2x8w", None)], ACYCLIC_BENCH,
+        max_instructions=LENGTH)[0][-1],
+    "group-sampled": lambda tmp: run_cosim(
+        [("w16", None), ("pr-2x8w", None)], ACYCLIC_BENCH,
+        max_instructions=LENGTH, **MODES["sampled"])[0][-1],
+    "metrics": lambda tmp: acyclic_run(**ARGUMENTS["metrics"][0]()),
+    "trace": lambda tmp: acyclic_run(**ARGUMENTS["trace"][0]()),
+    "profile": lambda tmp: acyclic_run(**ARGUMENTS["profile"][0]()),
+    "live": lambda tmp: acyclic_run(live=LiveConfig(
+        path=str(tmp / "live.ndjson"), every=100)),
+    "uop-log": lambda tmp: acyclic_run(uop_log=[]),
+    "invariant-checks": lambda tmp: acyclic_run(invariant_checks=True),
+    "max-cycles": lambda tmp: acyclic_run(max_cycles=500),
+}
+
+
+def unreachable_after(run):
+    """What *run* leaves unreachable, by type, with the collector off
+    (so nothing is collected before it is counted)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        result = run()
+        gc.collect()
+        return result, Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("case", list(ACYCLIC_RUNS))
+def test_run_leaves_no_reference_cycle(monkeypatch, tmp_path, case, fast):
+    """Squashed and in-flight micro-ops are unlinked where they die and
+    the processor holds no bound method of its own, so reference
+    counting frees a whole run — the invariant that lets ``run_cosim``
+    pause the cyclic collector."""
+    monkeypatch.setenv("REPRO_FAST", "1" if fast else "0")
+    run = ACYCLIC_RUNS[case]
+    run(tmp_path)  # prepares the stream and the warm snapshots
+    result, unreachable = unreachable_after(lambda: run(tmp_path))
+    assert unreachable == Counter()
+    if case.endswith("squash"):
+        assert result.counter("rename.liveout_squashes") > 0
+    elif case.endswith("reexecute"):
+        assert result.counter("rename.liveout_reexec_events") > 0
+    elif case == "max-cycles":
+        assert result.counter("sim.timeout") == 1
+    else:
+        assert result.counter("frontend.fragments_squashed") > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_collector_state_is_restored(enabled):
+    """The driver pauses the collector for the run and leaves the
+    caller's state behind it, also when the run raises in between."""
+    group = [("w16", None), ("pr-2x8w", None)]
+    seen = []
+
+    def failing_hook(ui, processors):
+        seen.append(gc.isenabled())
+        raise RuntimeError("unit hook failed")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for mode in ("full", "sampled"):
+            run(mode)
+            assert gc.isenabled() is enabled
+            run_cosim(group, "gzip", max_instructions=LENGTH, **MODES[mode])
+            assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="unit hook failed"):
+            run_cosim(group, "gzip", max_instructions=LENGTH,
+                      unit_hook=failing_hook, **MODES["sampled"])
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
