@@ -15,13 +15,7 @@ from collections import deque
 from typing import Deque, Dict, List, Tuple
 
 from repro.config import BackEndConfig
-from repro.core.uop import (
-    FU_POOL,
-    LATENCY_KEY,
-    MicroOp,
-    PlaceholderProducer,
-    UopState,
-)
+from repro.core.uop import MicroOp, PlaceholderProducer, UopState
 from repro.errors import SimulationError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatsCollector
@@ -64,10 +58,6 @@ class OutOfOrderCore:
             self._reservations.get(fragment_seq, 0) + count)
         return True
 
-    def reserve_single(self, fragment_seq: int) -> bool:
-        """Reserve one window slot for *fragment_seq* (False when full)."""
-        return self.reserve(1, fragment_seq)
-
     def release(self, fragment_seq: int, count: int = 1) -> None:
         """Return up to *count* of *fragment_seq*'s reserved window slots."""
         held = self._reservations.get(fragment_seq, 0)
@@ -102,9 +92,9 @@ class OutOfOrderCore:
             self._dispatch.append(uop)
 
     def queue_dispatched(self, uops: List[MicroOp]) -> None:
-        """Fast-loop twin of :meth:`dispatch` for uops whose
-        ``dispatch_ready_cycle`` was already stamped in the rename build
-        loop — one C-level extend instead of a per-uop pass."""
+        """:meth:`dispatch` for uops whose ``dispatch_ready_cycle`` the
+        renamer already stamped — one C-level extend instead of a per-uop
+        pass."""
         self._dispatch.extend(uops)
 
     def _attach_waiter(self, source, consumer: MicroOp) -> bool:
@@ -126,17 +116,22 @@ class OutOfOrderCore:
         source.consumers.append(consumer)
         return True
 
-    def _insert_window(self, uop: MicroOp) -> None:
-        pending = 0
-        for source in uop.sources:
-            if self._attach_waiter(source, uop):
-                pending += 1
-        uop.pending = pending
-        if pending == 0:
-            uop.state = UopState.READY
-            heapq.heappush(self._ready, (uop.seq, uop))
-        else:
-            uop.state = UopState.WAITING
+    @staticmethod
+    def detach_waiter(consumer: MicroOp) -> None:
+        """Undo :meth:`_attach_waiter` for every source of *consumer*.
+
+        Drops it from the wait list of each source and of every
+        placeholder chain behind one, so a producer it stops listing
+        (selective re-execution relinks its sources) cannot wake it.
+        """
+        for source in consumer.sources:
+            while source is not None:
+                if consumer in source.consumers:
+                    source.consumers = [c for c in source.consumers
+                                        if c is not consumer]
+                source = (source.producer
+                          if isinstance(source, PlaceholderProducer)
+                          else None)
 
     def bind_placeholder(self, placeholder: PlaceholderProducer,
                          producer=None, ready: bool = False) -> None:
@@ -176,27 +171,13 @@ class OutOfOrderCore:
     def cycle(self, now: int) -> List[MicroOp]:
         """One execution cycle; returns uops that completed this cycle.
 
-        Idle phases are skipped outright: a cycle with no scheduled
-        completions, an empty dispatch queue and an empty ready list
-        touches none of the phase bodies (common while the window drains
-        a long-latency miss).
-        """
-        completed = (self._complete(now) if now in self._completions
-                     else self._EMPTY)
-        if self._dispatch:
-            self._drain_dispatch(now)
-        if self._ready:
-            self._issue(now)
-        return completed
-
-    def cycle_soa(self, now: int) -> List[MicroOp]:
-        """The fast loop's twin of :meth:`cycle`.
-
-        Same phase order, same observable effects — the dispatch-insert
-        and issue loops are inlined with hoisted lookups, and the
-        overwhelmingly common :class:`MicroOp` source skips the
-        placeholder-chain walk of :meth:`_attach_waiter`.  The parity
-        matrix in tests/test_perf_soa.py holds both paths bit-identical.
+        Completes the uops due now (waking their consumers), moves
+        dispatched uops whose pipeline delay has passed into the window,
+        then issues oldest-first under the issue width and per-pool
+        functional-unit limits.  The dispatch-insert and issue loops are
+        inlined with hoisted lookups, and the overwhelmingly common
+        :class:`MicroOp` source skips the placeholder-chain walk of
+        :meth:`_attach_waiter`.  Idle phases are skipped outright.
         """
         completed = (self._complete(now) if now in self._completions
                      else self._EMPTY)
@@ -256,20 +237,17 @@ class OutOfOrderCore:
                 if uop.state is not ready_state:
                     continue  # squashed while queued
                 decoded = uop.decoded
-                pool = (decoded.pool if decoded is not None
-                        else FU_POOL[uop.inst.op_class])
+                pool = decoded.pool
                 in_use = used_get(pool, 0)
                 if in_use >= counts_get(pool, 0):
                     skipped.append(item)
                     continue
                 used[pool] = in_use + 1
                 issued += 1
-                # _start_execution, inlined.
+                # Start execution.
                 uop.state = executing
                 uop.issue_cycle = now
-                key = (decoded.latency_key if decoded is not None
-                       else LATENCY_KEY[uop.inst.op_class])
-                done_at = now + latencies[key]
+                done_at = now + latencies[decoded.latency_key]
                 inst = uop.inst
                 if inst.is_mem and uop.record is not None \
                         and uop.record.ea is not None:
@@ -311,56 +289,6 @@ class OutOfOrderCore:
             if consumer.pending <= 0:
                 consumer.state = UopState.READY
                 heapq.heappush(self._ready, (consumer.seq, consumer))
-
-    def _drain_dispatch(self, now: int) -> None:
-        while self._dispatch and self._dispatch[0].dispatch_ready_cycle <= now:
-            uop = self._dispatch.popleft()
-            if uop.state is UopState.SQUASHED:
-                continue
-            if uop.state is not UopState.RENAMED:
-                raise SimulationError(f"dispatching uop in state {uop.state}")
-            self._insert_window(uop)
-
-    def _issue(self, now: int) -> None:
-        counts = self.config.fu_counts
-        used: Dict[str, int] = {}
-        issued = 0
-        skipped: List[Tuple[int, MicroOp]] = []
-        while self._ready and issued < self.config.issue_width:
-            seq, uop = heapq.heappop(self._ready)
-            if uop.state is not UopState.READY:
-                continue  # squashed while queued
-            decoded = uop.decoded
-            pool = (decoded.pool if decoded is not None
-                    else FU_POOL[uop.inst.op_class])
-            if used.get(pool, 0) >= counts.get(pool, 0):
-                skipped.append((seq, uop))
-                continue
-            used[pool] = used.get(pool, 0) + 1
-            issued += 1
-            self._start_execution(uop, now)
-        for item in skipped:
-            heapq.heappush(self._ready, item)
-        if skipped:
-            self.stats.add("exec.fu_structural_stalls", len(skipped))
-        self.stats.add("exec.issued", issued)
-
-    def _start_execution(self, uop: MicroOp, now: int) -> None:
-        uop.state = UopState.EXECUTING
-        uop.issue_cycle = now
-        decoded = uop.decoded
-        key = (decoded.latency_key if decoded is not None
-               else LATENCY_KEY[uop.inst.op_class])
-        done_at = now + self.config.fu_latencies[key]
-        inst = uop.inst
-        if inst.is_mem and uop.record is not None \
-                and uop.record.ea is not None:
-            data_ready = self.memory.data_access(uop.record.ea, now)
-            if inst.is_load:
-                done_at = max(done_at, data_ready + 1)
-        # Wrong-path memory ops have no architectural address; they are
-        # charged the L1-hit path only.
-        self._completions.setdefault(done_at, []).append(uop)
 
     # -- introspection ---------------------------------------------------
 

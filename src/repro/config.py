@@ -311,20 +311,13 @@ def env_int(name: str, default: int) -> int:
 
 #: Environment knobs for :class:`ObservabilityConfig.from_env`.
 OBS_SAMPLE_ENV = "REPRO_OBS_SAMPLE"
-OBS_RING_ENV = "REPRO_OBS_RING"
 OBS_TRACE_ENV = "REPRO_OBS_TRACE"
-OBS_TRACE_LIMIT_ENV = "REPRO_OBS_TRACE_LIMIT"
 OBS_PROFILE_ENV = "REPRO_OBS_PROFILE"
 
 #: Environment knobs for :class:`LiveConfig.from_env` (live telemetry).
 LIVE_ENV = "REPRO_LIVE"
 LIVE_PATH_ENV = "REPRO_LIVE_PATH"
 LIVE_EVERY_ENV = "REPRO_LIVE_EVERY"
-
-#: Cycle-loop switch; see :mod:`repro.perf`.  On (the default) selects
-#: the batched structure-of-arrays fast loop, ``0`` the reference loop
-#: the golden-parity tests compare against.
-PERF_FAST_ENV = "REPRO_FAST"
 
 #: Every ``REPRO_*`` environment knob the simulator understands, with a
 #: one-line summary.  This registry is the source of truth the
@@ -348,12 +341,8 @@ ENV_KNOBS: Dict[str, str] = {
     "REPRO_INVARIANT_CHECKS": "per-cycle pipeline state audits",
     "REPRO_FAULTS": "deterministic fault-injection plan",
     "REPRO_OBS_SAMPLE": "metrics sampling interval in cycles",
-    "REPRO_OBS_RING": "metrics ring-buffer capacity",
     "REPRO_OBS_TRACE": "pipeline event trace (path or 1)",
-    "REPRO_OBS_TRACE_LIMIT": "trace event cap",
     "REPRO_OBS_PROFILE": "per-phase wall-clock profiling",
-    "REPRO_FAST": "cycle loop: on = batched SoA fast loop, "
-                  "0 = reference loop",
     "REPRO_SAMPLE": "interval-sampling period (0/unset = full detail)",
     "REPRO_SAMPLE_UNIT": "instructions per sampling unit",
     "REPRO_SAMPLE_WARMUP": "detailed warm-up instructions per sample",
@@ -379,7 +368,6 @@ FLAG_ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_OBS_TRACE",
     "REPRO_OBS_PROFILE",
     "REPRO_LIVE",
-    "REPRO_FAST",
 )
 
 
@@ -436,9 +424,7 @@ class ObservabilityConfig:
         truthy = trace_value.lower() in ("1", "true", "yes", "on")
         return cls(
             sample_interval=env_int(OBS_SAMPLE_ENV, 0),
-            ring_capacity=env_int(OBS_RING_ENV, 0) or 4096,
             trace=trace,
-            trace_limit=env_int(OBS_TRACE_LIMIT_ENV, 0) or 200_000,
             trace_path=trace_value if (trace and not truthy) else None,
             profile=env_flag(OBS_PROFILE_ENV),
         )

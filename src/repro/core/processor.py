@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.config import ProcessorConfig
 from repro.core.invariants import InvariantChecker, PipelineWatchdog
 from repro.core.uop import DecodeCache, MicroOp, PlaceholderProducer, UopState
-from repro.perf import PerfConfig
 from repro.perf.soa import SharedStream, SoAState
 from repro.backend.core import OutOfOrderCore
 from repro.emulator.stream import DynamicInstruction
@@ -44,7 +43,7 @@ from repro.frontend.engines import (
     SequentialFillEngine,
     TraceCacheFillEngine,
 )
-from repro.frontend.fragments import FragmentKey, should_terminate
+from repro.frontend.fragments import FragmentKey
 from repro.frontend.trace_cache import TraceCache
 from repro.isa.program import Program
 from repro.isa.registers import ZERO_REG
@@ -93,13 +92,10 @@ class Processor:
                  watchdog=_FROM_ENV, invariants=_FROM_ENV,
                  obs: Optional["Observability"] = None,
                  live: Optional["LiveTelemetry"] = None,
-                 perf: Optional[PerfConfig] = None,
                  shared: Optional[SharedStream] = None):
         self.config = config
         self.program = program
         self.stats = StatsCollector()
-        #: Loop selection (``REPRO_FAST``); never affects results.
-        self.perf = perf if perf is not None else PerfConfig.from_env()
 
         #: Opt-in observability (see :mod:`repro.obs`); None = disabled.
         self.obs = obs
@@ -129,8 +125,7 @@ class Processor:
         self.control = FrontEndControl(program, config.fragment,
                                        self.trace_predictor, self.ras,
                                        self.stats, self._oracle[0].pc,
-                                       direction_fallback=self.bimodal.predict,
-                                       walk_cache=self.perf.fast)
+                                       direction_fallback=self.bimodal.predict)
         self.buffers = FragmentBufferArray(
             config.frontend.num_fragment_buffers, self.stats)
         self.trace_cache: Optional[TraceCache] = None
@@ -139,15 +134,12 @@ class Processor:
         self.renamer = self._build_renamer()
         #: Decoded-uop cache (recurring fragments reuse one immutable
         #: :class:`~repro.core.uop.DecodedUop` per static instruction) and
-        #: the fast loop's batched state (flat oracle PCs plus
-        #: per-static-fragment metadata).  Both None in the reference
-        #: loop (``REPRO_FAST=0``).  Co-simulation (repro.perf.cosim)
-        #: injects one SharedStream per stream group: both structures are
-        #: pure per (stream, fragment config), so sibling processors on
-        #: the same stream share them without perturbing result identity.
-        self.decode_cache: Optional[DecodeCache] = None
-        self._soa: Optional[SoAState] = None
-        if self.perf.fast and shared is not None:
+        #: the batched state (flat oracle PCs plus per-static-fragment
+        #: metadata).  Co-simulation (repro.perf.cosim) injects one
+        #: SharedStream per stream group: both structures are pure per
+        #: (stream, fragment config), so sibling processors on the same
+        #: stream share them without perturbing result identity.
+        if shared is not None:
             if len(shared.oracle_pcs) != len(self._oracle):
                 raise SimulationError(
                     "shared stream does not match this oracle stream")
@@ -155,23 +147,16 @@ class Processor:
             self._soa = SoAState(self._oracle, self.decode_cache,
                                  oracle_pcs=shared.oracle_pcs,
                                  meta=shared.meta_for(config.fragment))
-        elif self.perf.fast:
+        else:
             self.decode_cache = DecodeCache()
             self._soa = SoAState(self._oracle, self.decode_cache)
-        #: The selected loop's phases in reverse pipeline order (names in
+        #: The cycle phases in reverse pipeline order (names in
         #: :data:`PHASE_NAMES`): :meth:`step` runs them, the profiled
-        #: loop times them.  Fetch-time oracle tagging differs the same
-        #: way; both taggers produce identical ``records``.  Plain
-        #: functions called with the processor: bound methods stored on
-        #: ``self`` would tie it into a reference cycle.
-        if self._soa is not None:
-            self._phases = (Processor._execute_soa, Processor._commit_soa,
-                            Processor._rename_soa, Processor._fetch)
-            self._tagger = Processor._tag_fragment_soa
-        else:
-            self._phases = (Processor._execute, Processor._commit,
-                            Processor._rename, Processor._fetch)
-            self._tagger = Processor._tag_fragment
+        #: loop times them.  Plain functions called with the processor:
+        #: bound methods stored on ``self`` would tie it into a reference
+        #: cycle.
+        self._phases = (Processor._execute, Processor._commit,
+                        Processor._rename, Processor._fetch)
 
         #: In-flight fragments, oldest first (committed ones are removed).
         self.fragments: List[FragmentInFlight] = []
@@ -206,13 +191,12 @@ class Processor:
         #: ``(key, length)``.  A carve's instruction path is fully
         #: determined by its start PC, direction bits and length (an
         #: indirect always terminates a carve), and ``LiveOutInfo`` is an
-        #: immutable tuple, so replaying the memo is exact.  Off under
-        #: ``REPRO_FAST=0`` to keep the reference loop memo-free.
-        self._liveout_memo: Optional[Dict] = {} if self.perf.fast else None
-        #: Live-out recovery policy, hoisted for the SoA step.
+        #: immutable tuple, so replaying the memo is exact.
+        self._liveout_memo: Dict = {}
+        #: Live-out recovery policy, hoisted for the rename phase.
         self._squash_mode = config.frontend.liveout_recovery == "squash"
         #: Whether the renamer exposes live-out misprediction queues
-        #: (only :class:`ParallelRenamer` does), hoisted for the SoA step.
+        #: (only :class:`ParallelRenamer` does), hoisted likewise.
         self._renamer_parallel = isinstance(self.renamer, ParallelRenamer)
 
     # -- construction ---------------------------------------------------------
@@ -361,8 +345,7 @@ class Processor:
         self.control = FrontEndControl(
             self.program, self.config.fragment, self.trace_predictor,
             self.ras, self.stats, self._oracle[index].pc,
-            direction_fallback=self.bimodal.predict,
-            walk_cache=self.perf.fast)
+            direction_fallback=self.bimodal.predict)
         self.engine = self._build_engine()
         self.core = OutOfOrderCore(self.config.backend, self.memory,
                                    self.stats)
@@ -385,50 +368,21 @@ class Processor:
             _unlink(fragment.uops[fragment.committed_count:])
 
     def step(self) -> None:
-        """Advance the processor by one cycle: the selected loop's
-        phases (execute, commit, rename, fetch) in order."""
+        """Advance the processor by one cycle: the phases (execute,
+        commit, rename, fetch) in order."""
         self.now += 1
         for phase in self._phases:
             phase(self)
 
     # -- execute and rename phases ------------------------------------------
-    #
-    # Each loop has its own execute/commit/rename phase bodies; the fast
-    # (SoA) ones batch the inner loops over repro.perf.soa metadata but
-    # keep every observable effect of the reference ones, in the same
-    # order (tests/test_perf_soa.py holds the two loops bit-identical).
 
     def _execute(self) -> None:
-        self._handle_completions(self.core.cycle(self.now))
-
-    def _execute_soa(self) -> None:
-        completed = self.core.cycle_soa(self.now)
+        completed = self.core.cycle(self.now)
         if completed or self._deferred_redirects:
             self._handle_completions(completed)
 
     def _rename(self) -> None:
-        renamed = self.renamer.cycle(self.now, self.fragments,
-                                     self._make_uop)
-        if renamed:
-            wrong = sum(1 for u in renamed if u.record is None)
-            if wrong:
-                self.stats.add("rename.wrongpath_insts", wrong)
-            self.core.dispatch(renamed, self.now)
-        if self.config.frontend.liveout_recovery == "squash":
-            mispredict = getattr(self.renamer,
-                                 "pending_liveout_mispredict", None)
-            if mispredict is not None:
-                self._liveout_squash(mispredict)
-        else:
-            for mispredict in getattr(self.renamer,
-                                      "pending_liveout_mispredicts", ()):
-                self._pending_reexec.add(mispredict.seq)
-        if self._pending_reexec:
-            self._drain_pending_reexec()
-        self._release_renamed_buffers()
-
-    def _rename_soa(self) -> None:
-        renamed, wrong = self.renamer.cycle_soa(self.now, self.fragments)
+        renamed, wrong = self.renamer.cycle(self.now, self.fragments)
         if renamed:
             if wrong:
                 self.stats.add("rename.wrongpath_insts", wrong)
@@ -457,7 +411,7 @@ class Processor:
         fragment = self.control.try_next_fragment()
         if fragment is None:
             return
-        self._tagger(self, fragment)
+        self._tag(fragment)
         if not self.buffers.allocate(fragment, self.now):
             raise SimulationError("buffer allocation failed despite check")
         self.fragments.append(fragment)
@@ -470,8 +424,35 @@ class Processor:
 
     # -- oracle tagging ------------------------------------------------------
 
+    def _tag(self, fragment: FragmentInFlight) -> None:
+        """Bind a new fragment to oracle records and attach its metadata.
+
+        One slice comparison against the flat oracle PC array covers the
+        overwhelmingly common case (on the correct path, fully matched);
+        a fragment already on the wrong path gets no records; anything
+        else — divergence, stream end — falls back to the per-instruction
+        walk of :meth:`_tag_fragment`, which starts from the same
+        untouched ``_oracle_pos``."""
+        soa = self._soa
+        meta = soa.meta_for(fragment.static_frag)
+        fragment.soa_meta = meta
+        n = len(meta.pcs)
+        if self._diverged:
+            fragment.records = [None] * n
+            return
+        pos = self._oracle_pos
+        end = pos + n
+        if end <= len(soa.oracle_pcs) \
+                and soa.oracle_pcs[pos:end] == meta.pcs:
+            fragment.records = list(zip(self._oracle[pos:end],
+                                        range(pos, end)))
+            self._oracle_pos = end
+            return
+        self._tag_fragment(fragment)
+
     def _tag_fragment(self, fragment: FragmentInFlight) -> None:
-        """Bind fragment instructions to oracle records; detect divergence."""
+        """Bind fragment instructions to oracle records one at a time and
+        detect divergence (the fallback of :meth:`_tag`)."""
         records: List[Optional[Tuple[DynamicInstruction, int]]] = []
         append = records.append
         oracle = self._oracle
@@ -526,66 +507,22 @@ class Processor:
             if uop.state in (UopState.DONE, UopState.COMMITTED):
                 self._deferred_redirects.append(uop)
 
-    def _tag_fragment_soa(self, fragment: FragmentInFlight) -> None:
-        """Fast-loop tagging: one slice comparison against the flat oracle
-        PC array covers the fragment's overwhelmingly common case (on
-        the correct path, fully matched); anything else — divergence,
-        stream end, an already-wrong path — falls back to the reference
-        walk, which starts from the same untouched ``_oracle_pos``."""
-        soa = self._soa
-        assert soa is not None
-        meta = soa.meta_for(fragment.static_frag)
-        fragment.soa_meta = meta
-        n = len(meta.pcs)
-        if self._diverged:
-            fragment.records = [None] * n
-            return
-        pos = self._oracle_pos
-        end = pos + n
-        if end <= len(soa.oracle_pcs) \
-                and soa.oracle_pcs[pos:end] == meta.pcs:
-            fragment.records = list(zip(self._oracle[pos:end],
-                                        range(pos, end)))
-            self._oracle_pos = end
-            return
-        self._tag_fragment(fragment)
-
     def prewarm_fragment_key(self, key: FragmentKey) -> None:
         """Pre-populate the pure per-fragment caches for one carved key.
 
         Called by functional warming (:mod:`repro.core.warming`) once
-        per carved fragment: the walk caches, decode cache, SoA metadata
-        and fetch chunk tables are all keyed pure functions, so building
-        them before the first timed cycle changes no simulation result —
-        it only moves steady-state cache construction out of the timed
-        region, the same rationale as warming the predictors themselves.
-        No-op at ``REPRO_FAST=0`` (the reference loop has no caches).
+        per carved fragment: the walk caches, decode cache, fragment
+        metadata and fetch chunk tables are all keyed pure functions, so
+        building them before the first timed cycle changes no simulation
+        result — it only moves steady-state cache construction out of
+        the timed region, the same rationale as warming the predictors
+        themselves.
         """
-        if self._soa is None:
-            return
         static = self.control.prewarm(key.start_pc, key.directions)
-        if static is not None:
-            self.engine.prewarm_chunks(self._soa.meta_for(static),
-                                       static.traversed_pcs)
+        self.engine.prewarm_chunks(self._soa.meta_for(static),
+                                   static.traversed_pcs)
 
     # -- rename support ---------------------------------------------------
-
-    def _make_uop(self, fragment: FragmentInFlight,
-                  position: int) -> MicroOp:
-        inst = fragment.static_frag.instructions[position]
-        entry = (fragment.records[position]
-                 if position < len(fragment.records) else None)
-        record = entry[0] if entry is not None else None
-        uop = MicroOp(seq=(fragment.seq << 8) | position, inst=inst,
-                      pc=inst.addr, fragment_seq=fragment.seq,
-                      position=position, record=record)
-        uop.renamed_cycle = self.now
-        if entry is not None:
-            uop.oracle_idx = entry[1]
-        if (fragment.mispredict_position == position
-                and fragment.mispredict_target is not None):
-            uop.redirect_target = fragment.mispredict_target
-        return uop
 
     def _release_renamed_buffers(self) -> None:
         for fragment in self.fragments:
@@ -759,17 +696,8 @@ class Processor:
         self.stats.add("rename.liveout_reexec_events")
         if self._tracer is not None:
             self._tracer.liveout_mispredict(fragment, self.now, "reexecute")
-        map_state: dict = dict(fragment.outgoing_actual or {})
-
-        # Rebind the fragment's placeholders to the true final producers
-        # so future (not-yet-renamed) consumers resolve correctly.
-        for reg, placeholder in fragment.placeholders.items():
-            actual = map_state.get(reg)
-            if actual is None:
-                self.core.bind_placeholder(placeholder, ready=True)
-            elif placeholder.producer is not actual:
-                self.core.bind_placeholder(placeholder, producer=actual)
-        fragment.liveout_mispredicted = False
+        outgoing_actual = fragment.outgoing_actual or {}
+        map_state: dict = dict(outgoing_actual)
 
         dirty: set = set()
         to_redispatch: List[MicroOp] = []
@@ -798,12 +726,13 @@ class Processor:
                     for src in correct_sources)
                 if is_dirty:
                     dirty.add(id(uop))
-                    uop.sources = correct_sources
                     if uop.state is not UopState.RENAMED:
+                        self.core.detach_waiter(uop)
                         uop.state = UopState.RENAMED
                         uop.pending = 0
                         uop.consumers = []
                         to_redispatch.append(uop)
+                    uop.sources = correct_sources
                 dest = uop.inst.dest_reg()
                 if dest is not None and dest != ZERO_REG:
                     writers[dest] = uop
@@ -821,6 +750,18 @@ class Processor:
                 outgoing = dict(incoming_snapshot)
                 outgoing.update(younger.internal_writers)
                 younger.outgoing_actual = outgoing
+
+        # Rebind the fragment's placeholders to the true final producers
+        # so future (not-yet-renamed) consumers resolve correctly.  Only
+        # after the resets above: a waiter that followed a placeholder to
+        # its old producer is reachable through that binding alone.
+        for reg, placeholder in fragment.placeholders.items():
+            actual = outgoing_actual.get(reg)
+            if actual is None:
+                self.core.bind_placeholder(placeholder, ready=True)
+            elif placeholder.producer is not actual:
+                self.core.bind_placeholder(placeholder, producer=actual)
+        fragment.liveout_mispredicted = False
 
         if to_redispatch:
             self.stats.add("rename.reexecuted_uops", len(to_redispatch))
@@ -844,53 +785,15 @@ class Processor:
     # -- commit stage ------------------------------------------------------
 
     def _commit(self) -> None:
-        budget = self.config.backend.commit_width
-        committed = 0
-        while budget > 0 and self.fragments:
-            fragment = self.fragments[0]
-            limit = fragment.length
-            if fragment.committed_count >= limit and fragment.rename_done:
-                self._retire_fragment(fragment)
-                continue
-            position = fragment.committed_count
-            if position >= len(fragment.uops):
-                break
-            uop = fragment.uops[position]
-            if uop.state is not UopState.DONE:
-                break
-            if uop.record is None:  # pragma: no cover - invariant
-                raise SimulationError("attempted to commit wrong-path uop")
-            uop.state = UopState.COMMITTED
-            uop.commit_cycle = self.now
-            if self.uop_log is not None:
-                self.uop_log.append(uop)
-            self.core.release(fragment.seq, 1)
-            fragment.committed_count += 1
-            self._committed += 1
-            budget -= 1
-            committed += 1
-            self._carve_feed(uop.record)
-            if (fragment.truncated_at is not None
-                    and fragment.committed_count == fragment.truncated_at):
-                # A control misprediction truncated this fragment here; the
-                # fill/carve sequence restarts at the corrected PC, so the
-                # partial fragment is finalised as its own trace to keep
-                # predictor training aligned with what fetch sees.
-                self._carve_flush()
-            if self._committed >= self._stop_at:
-                self._done = True
-                break
-        if committed:
-            self.stats.add("commit.insts", committed)
+        """In-order retirement of up to ``commit_width`` DONE uops.
 
-    def _commit_soa(self) -> None:
-        """Fast-loop commit: stamp each contiguous run of DONE uops in one
-        batch and release its window slots with a single call.
-
-        Equivalent to :meth:`_commit` because (a) ``release(seq, k)``
-        clamps exactly like k single releases, (b) the carver only
-        consumes records in order, and (c) a truncated fragment's flush
-        point is always its last uop, so it can only land at a batch end.
+        Stamps each contiguous run of DONE uops in one batch and releases
+        its window slots with a single call, feeding the commit-side
+        carver (predictor training) as it goes.  Batching is exact: (a)
+        ``release(seq, k)`` clamps exactly like k single releases, (b)
+        the carver only consumes records in order, and (c) a truncated
+        fragment's flush point is always its last uop, so it can only
+        land at a batch end.
         """
         budget = self.config.backend.commit_width
         committed = 0
@@ -959,6 +862,10 @@ class Processor:
             committed += take
             if (fragment.truncated_at is not None
                     and fragment.committed_count == fragment.truncated_at):
+                # A control misprediction truncated this fragment here; the
+                # fill/carve sequence restarts at the corrected PC, so the
+                # partial fragment is finalised as its own trace to keep
+                # predictor training aligned with what fetch sees.
                 self._carve_flush()
             if self._committed >= self._stop_at:
                 self._done = True
@@ -981,16 +888,6 @@ class Processor:
 
     # -- commit-side carver (predictor training) ----------------------------
 
-    def _carve_feed(self, record: DynamicInstruction) -> None:
-        self._carve_records.append(record)
-        if record.inst.is_cond_branch:
-            self._carve_dirs.append(record.taken)
-            self.bimodal.train(record.pc, record.taken)
-        reason = should_terminate(record.inst, len(self._carve_records),
-                                  self.config.fragment)
-        if reason is not None:
-            self._carve_flush()
-
     def _carve_flush(self) -> None:
         """Finalise the in-progress retired fragment and train predictors."""
         if not self._carve_records:
@@ -999,16 +896,13 @@ class Processor:
         key = FragmentKey(records[0].pc, tuple(self._carve_dirs))
         self.trace_predictor.train(key)
         memo = self._liveout_memo
-        if memo is None:
+        memo_key = (key, len(records))
+        info = memo.get(memo_key)
+        if info is None:
+            if len(memo) >= 8192:
+                memo.clear()
             info = compute_liveouts([r.inst for r in records])
-        else:
-            memo_key = (key, len(records))
-            info = memo.get(memo_key)
-            if info is None:
-                if len(memo) >= 8192:
-                    memo.clear()
-                info = compute_liveouts([r.inst for r in records])
-                memo[memo_key] = info
+            memo[memo_key] = info
         self.liveout_predictor.train(key, info)
         self.stats.add("commit.trained_fragments")
         self._carve_records = []

@@ -222,7 +222,7 @@ class MicroOp:
     def __init__(self, seq: int, inst: Instruction, pc: int,
                  fragment_seq: int, position: int,
                  record: Optional[DynamicInstruction],
-                 decoded: Optional[DecodedUop] = None):
+                 decoded: DecodedUop):
         self.seq = seq
         self.inst = inst
         self.pc = pc
@@ -231,8 +231,8 @@ class MicroOp:
         self.position = position
         #: Oracle record when on the correct path, else None (wrong path).
         self.record = record
-        #: Cached decode metadata (see :class:`DecodeCache`); None when
-        #: the uop was constructed outside the processor (tests).
+        #: Decode metadata, shared by every instance of the static
+        #: instruction (see :class:`DecodeCache`).
         self.decoded = decoded
         self.state = UopState.RENAMED
         #: Producers of each source operand (filled in by rename).

@@ -22,7 +22,6 @@ from repro.frontend.fragments import (
     walk_fragment,
 )
 from repro.isa.program import Program
-from repro.perf import fast_paths_enabled
 from repro.predictors.return_stack import ReturnAddressStack
 from repro.predictors.trace_predictor import TracePredictor
 from repro.stats import StatsCollector
@@ -39,8 +38,7 @@ class FrontEndControl:
     def __init__(self, program: Program, fragment_config: FragmentConfig,
                  predictor: TracePredictor, ras: ReturnAddressStack,
                  stats: StatsCollector, start_pc: int,
-                 direction_fallback=None,
-                 walk_cache: Optional[bool] = None):
+                 direction_fallback=None):
         self.program = program
         self.fragment_config = fragment_config
         self.predictor = predictor
@@ -62,15 +60,8 @@ class FrontEndControl:
         #: that never consulted the direction fallback — only those are
         #: pure functions of the key (the bimodal fallback trains over
         #: time, so a walk that asked it may answer differently later).
-        #: None under ``REPRO_FAST=0`` (the golden-parity reference).
-        #: The *walk_cache* parameter pins the choice explicitly (the
-        #: processor resolves it from its PerfConfig so benchmark runs
-        #: can mix loops in one process); None defers to the environment.
-        if walk_cache is None:
-            walk_cache = fast_paths_enabled()
-        self._walk_cache: Optional[
-            Dict[Tuple[int, Tuple[bool, ...]], StaticFragment]] = (
-            {} if walk_cache else None)
+        self._walk_cache: Dict[
+            Tuple[int, Tuple[bool, ...]], StaticFragment] = {}
         #: Verify-on-hit memo for walks that *did* consult the
         #: fallback: each entry records the fragment plus the exact
         #: ``(pc, answer)`` sequence the fallback produced during the
@@ -79,10 +70,9 @@ class FrontEndControl:
         #: replaying the cached fragment is bit-identical to re-walking.
         #: Any drift (the bimodal table trained since) falls back to a
         #: fresh walk.  See ``docs/DATA_LAYOUT.md``.
-        self._fallback_memo: Optional[Dict[
+        self._fallback_memo: Dict[
             Tuple[int, Tuple[bool, ...]],
-            Tuple[StaticFragment, Tuple[Tuple[int, bool], ...]]]] = (
-            {} if walk_cache else None)
+            Tuple[StaticFragment, Tuple[Tuple[int, bool], ...]]] = {}
 
     # -- fragment generation ----------------------------------------------
 
@@ -111,16 +101,14 @@ class FrontEndControl:
         self.stats.add("frontend.fragments_created")
         return fragment
 
-    def prewarm(self, start: int, directions) -> Optional[StaticFragment]:
+    def prewarm(self, start: int, directions) -> StaticFragment:
         """Pre-walk one fragment key into the walk caches.
 
         Functional-warming hook: only the pure walk cache and the
         verify-on-hit fallback memo are populated — both replay
         bit-identically (the memo re-verifies its recorded fallback
         answers on every hit), so prewarming cannot change results.
-        Returns the walked fragment, or None when caching is off."""
-        if self._walk_cache is None:
-            return None
+        Returns the walked fragment."""
         return self._walk(start, directions)
 
     def _walk(self, start: int, directions) -> StaticFragment:
@@ -137,9 +125,6 @@ class FrontEndControl:
         """
         cache = self._walk_cache
         fallback = self.direction_fallback
-        if cache is None:
-            return walk_fragment(self.program, start, directions,
-                                 self.fragment_config, fallback=fallback)
         key = (start, tuple(directions))
         cached = cache.get(key)
         if cached is not None:

@@ -30,9 +30,11 @@ metrics sampling).
 
 Environment knobs (read by :meth:`ObservabilityConfig.from_env`, which
 the default ``run_simulation`` path consults): ``REPRO_OBS_SAMPLE``
-(gauge sample interval in cycles), ``REPRO_OBS_RING`` (ring capacity),
-``REPRO_OBS_TRACE`` (truthy, or a path to auto-export the trace to),
-``REPRO_OBS_TRACE_LIMIT`` (event cap), ``REPRO_OBS_PROFILE`` (truthy).
+(gauge sample interval in cycles), ``REPRO_OBS_TRACE`` (truthy, or a
+path to auto-export the trace to), ``REPRO_OBS_PROFILE`` (truthy).  The
+ring capacity and the trace event cap are set on the config only
+(defaults 4096 samples and 200 000 events; ``repro trace --limit`` sets
+the cap).
 Live telemetry reads ``REPRO_LIVE``, ``REPRO_LIVE_PATH`` and
 ``REPRO_LIVE_EVERY`` (see :meth:`LiveConfig.from_env`).
 """

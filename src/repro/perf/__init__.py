@@ -1,28 +1,17 @@
-"""The fast cycle loop and the reproducible wall-clock benchmark harness.
+"""The batched cycle-loop state and the reproducible benchmark harness.
 
-Three related jobs live in this package:
-
-* :mod:`repro.perf.knobs` — the ``REPRO_FAST`` switch between the two
-  cycle loops.  The reference loop (``REPRO_FAST=0``) is the
-  correctness oracle; the fast loop (the default) is the batched
-  structure-of-arrays step over keyed, behaviour-preserving caches.  The
-  golden-parity matrix (``tests/test_perf_soa.py``) runs both side by
-  side and asserts every result counter is bit-identical, which is what
-  licenses the fast loop in the first place.  Structural optimizations
-  (precomputed instruction attributes, the array-backed rename map,
-  idle-phase skipping) are unconditional — they are provably
-  behaviour-preserving and have no slow twin.
-
-* :mod:`repro.perf.soa` — the fast loop's batched state: flattened
-  oracle PCs and per-fragment decode/source/dest metadata the batched
-  rename, tagging and commit loops run over (layout in
+* :mod:`repro.perf.soa` — the cycle loop's batched structure-of-arrays
+  state: flattened oracle PCs and per-fragment decode/source/dest
+  metadata the rename, tagging and commit loops run over (layout in
   ``docs/DATA_LAYOUT.md``).
+
+* :mod:`repro.perf.cosim` — the run driver: N timing models over one
+  stream pass (a single run is a group of one).
 
 * :mod:`repro.perf.bench` — the benchmark harness behind
   ``benchmarks/bench_perf.py`` and the ``BENCH_perf*.json`` records.
 """
 
-from repro.config import PERF_FAST_ENV
 from repro.perf.bench import (
     COSIM_CONFIGS,
     COSIM_GATE_SPEEDUP,
@@ -44,13 +33,11 @@ from repro.perf.bench import (
     run_sampled_benchmark,
     write_record,
 )
-from repro.perf.knobs import PerfConfig, fast_paths_enabled
 
 __all__ = [
     "COSIM_CONFIGS",
     "COSIM_GATE_SPEEDUP",
     "COSIM_TARGET_SPEEDUP",
-    "PERF_FAST_ENV",
     "PINNED_BENCHMARK",
     "PINNED_CONFIGS",
     "PINNED_INSTRUCTIONS",
@@ -58,11 +45,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "SMOKE_INSTRUCTIONS",
     "SMOKE_SAMPLED_INSTRUCTIONS",
-    "PerfConfig",
     "calibrate",
     "check_cosim_speedup",
     "compare_records",
-    "fast_paths_enabled",
     "load_record",
     "run_benchmark",
     "run_cosim_benchmark",

@@ -22,14 +22,13 @@ import platform
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.perf.knobs import fast_paths_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.processor import Processor
 
 # The harness imports (Processor, warming, workloads) are deferred to the
-# function bodies: the processor itself consults the knobs in
-# repro.perf at construction, so this package must be importable before
+# function bodies: the processor imports repro.perf.soa, which runs this
+# package's __init__, so this package must be importable before
 # repro.core is.
 
 #: The pinned workload matrix: the paper's baseline (W16), the trace
@@ -142,7 +141,6 @@ def run_benchmark(config_name: str, benchmark: str = PINNED_BENCHMARK,
         "config": config_name,
         "benchmark": benchmark,
         "instructions": instructions,
-        "fast_paths": fast_paths_enabled(),
         "wall_seconds": round(best_seconds, 6),
         "sim_cycles": cycles,
         "committed": committed,
@@ -157,10 +155,8 @@ def run_benchmark(config_name: str, benchmark: str = PINNED_BENCHMARK,
     return entry
 
 
-def _decode_cache_hit_rate(processor: "Processor") -> Optional[float]:
+def _decode_cache_hit_rate(processor: "Processor") -> float:
     cache = processor.decode_cache
-    if cache is None:
-        return None
     total = cache.hits + cache.misses
     return round(cache.hits / total, 4) if total else 0.0
 
@@ -379,7 +375,6 @@ def run_matrix(configs: Sequence[str] = PINNED_CONFIGS,
         "schema": SCHEMA_VERSION,
         "benchmark": benchmark,
         "instructions": instructions,
-        "fast_paths": fast_paths_enabled(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "calibration_score": round(calibrate(), 1),

@@ -28,8 +28,8 @@ assert it.
 
 Like :mod:`repro.perf.bench`, the heavyweight simulator imports are
 deferred into the functions: ``repro.core.processor`` imports this
-package for :class:`~repro.perf.knobs.PerfConfig`, so a module-level
-import of ``repro.core`` here would be circular.
+package for :mod:`repro.perf.soa`, so a module-level import of
+``repro.core`` here would be circular.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.emulator.stream import gc_paused
-from repro.perf.knobs import PerfConfig
 
 #: One co-simulated job: a named config (``run_simulation``'s first two
 #: identity arguments; everything else is shared across the group).
@@ -259,8 +258,7 @@ def run_cosim(specs: Sequence[CosimSpec],
                 savings[key] = delta
     # Clones each group snapshot still owes; the last one drops it.
     owed = Counter(prep.snapshot_key(stream_key, c) for c in configs)
-    shared = (SharedStream(oracle)
-              if PerfConfig.from_env().fast else None)
+    shared = SharedStream(oracle)
 
     def build(processor_config, name: str) -> Processor:
         """One processor of the group, warmed or restored."""

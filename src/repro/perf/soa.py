@@ -1,14 +1,13 @@
-"""The fast loop's batched structure-of-arrays pipeline state.
+"""The cycle loop's batched structure-of-arrays pipeline state.
 
-The reference cycle loop re-derives the same per-instruction facts for
-every dynamic instance: oracle tagging compares PCs one attribute lookup
-at a time, rename asks the decode cache for operands per uop, commit
-releases window slots one at a time.  The fast loop hoists everything
+Most per-instruction facts the pipeline needs are the same for every
+dynamic instance of a static fragment.  The cycle loop hoists everything
 that is a pure function of the *static* fragment into a
 :class:`FragMeta` built once per
 :class:`~repro.frontend.fragments.StaticFragment`, and flattens
 the oracle stream's PCs into one preallocated list so tagging a fragment
-becomes a single slice comparison.
+becomes a single slice comparison, rename builds uops from per-position
+arrays and commit releases window slots once per batch.
 
 Index linkage invariants (see ``docs/DATA_LAYOUT.md`` for the full
 memory model):
@@ -17,8 +16,7 @@ memory model):
   flat mirror of ``Processor._oracle``; positions never move.
 * ``FragMeta.pcs/srcs/dest/decoded[p]`` describe static instruction
   position ``p`` of one fragment; a fragment's dynamic uop at position
-  ``p`` is built from exactly these entries, so the fast loop produces
-  bit-identical uops to the reference ``_make_uop`` path.
+  ``p`` is built from exactly these entries.
 * Metadata is cached per *canonical fragment key*.  The key records the
   actual direction of every conditional branch inside the fragment
   (fallback-supplied bits included — see ``walk_fragment``), so for a
@@ -47,8 +45,8 @@ class FragMeta:
         #: hot loop.
         self.insts = static.instructions
         # One fused pass builds every per-position array (pcs, decoded,
-        # srcs, dest, src_plan): metadata construction is pure fast-loop
-        # overhead, so its cost lands directly on the speedup ratio.
+        # srcs, dest, src_plan): metadata construction is pure loop
+        # overhead, so it is paid in one pass.
         lookup = cache.lookup
         #: PC per position — compared against ``oracle_pcs`` as a slice.
         pcs: List[int] = []
@@ -131,7 +129,7 @@ class SharedStream:
 
 
 class SoAState:
-    """Flat fast-loop state owned by one :class:`Processor` instance."""
+    """Flat batched state owned by one :class:`Processor` instance."""
 
     __slots__ = ("oracle_pcs", "_cache", "_meta")
 

@@ -1,72 +1,27 @@
-"""Shared rename-stage machinery.
+"""Shared rename-stage interface.
 
 A renamer consumes instructions from in-flight fragments (in fragment
 order) and produces :class:`~repro.core.uop.MicroOp` objects whose sources
-are linked to their producers.  The processor supplies a ``make_uop``
-callback that creates and oracle-tags uops; renamers own only the dataflow
-linking and the rename *timing*.
+are linked to their producers.  It builds each uop from the fragment's
+precomputed :class:`~repro.perf.soa.FragMeta` and its oracle ``records``
+and owns the dataflow linking and the rename *timing*.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import List, Protocol, Tuple
 
-from repro.core.uop import MicroOp, Producer
+from repro.core.uop import MicroOp
 from repro.frontend.buffers import FragmentInFlight
-from repro.isa.registers import ZERO_REG
-
-#: Callback: (fragment, position) -> freshly created MicroOp.
-MakeUop = Callable[[FragmentInFlight, int], MicroOp]
-
-
-def source_regs(uop: MicroOp):
-    """Dependence-creating source registers of *uop* (``r0`` filtered).
-
-    Prefers the cached decode metadata attached by the processor's
-    decoded-uop cache; falls back to deriving it from the instruction for
-    uops constructed outside the processor (tests, tools).
-    """
-    decoded = uop.decoded
-    if decoded is not None:
-        return decoded.srcs
-    return tuple(r for r in uop.inst.src_regs() if r != ZERO_REG)
-
-
-def dest_of(uop: MicroOp) -> Optional[int]:
-    """Destination register of *uop*, or ``None`` for ``r0``/no-dest.
-
-    Same cached-metadata fast path as :func:`source_regs`.
-    """
-    decoded = uop.decoded
-    if decoded is not None:
-        return decoded.dest
-    dest = uop.inst.dest_reg()
-    return dest if dest is not None and dest != ZERO_REG else None
 
 
 class Renamer(Protocol):
     """Interface implemented by both rename mechanisms."""
 
-    def cycle(self, now: int, fragments: List[FragmentInFlight],
-              make_uop: MakeUop) -> List[MicroOp]:
-        """Rename for one cycle; returns the uops renamed."""
+    def cycle(self, now: int, fragments: List[FragmentInFlight]
+              ) -> Tuple[List[MicroOp], int]:
+        """Rename for one cycle; returns the uops renamed and how many
+        of them are on the wrong path."""
 
     def rebuild(self, fragments: List[FragmentInFlight]) -> None:
         """Reconstruct rename state after a squash."""
-
-
-def link_sources(uop: MicroOp, *maps: Dict[int, Producer]) -> None:
-    """Attach producers for each source register of *uop*.
-
-    *maps* are consulted in priority order (e.g. the fragment's internal
-    writers before the incoming cross-fragment map).  Registers with no
-    producer in any map read architectural state and are ready immediately;
-    the zero register never creates a dependence.
-    """
-    sources = uop.sources
-    for src in source_regs(uop):
-        for reg_map in maps:
-            producer = reg_map.get(src)
-            if producer is not None:
-                sources.append(producer)
-                break

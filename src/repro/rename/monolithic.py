@@ -14,7 +14,6 @@ from typing import List, Optional
 from repro.core.uop import MicroOp, UopState
 from repro.frontend.buffers import FragmentInFlight
 from repro.isa.registers import NUM_ARCH_REGS
-from repro.rename.base import MakeUop, dest_of, source_regs
 from repro.stats import StatsCollector
 
 
@@ -26,8 +25,8 @@ class MonolithicRenamer:
         self.width = width
         self.window = window
         self.stats = stats
-        #: Backend dispatch-pipeline latency, so the fast-loop batch
-        #: can stamp ``dispatch_ready_cycle`` at build time and hand the
+        #: Backend dispatch-pipeline latency, so a rename batch can
+        #: stamp ``dispatch_ready_cycle`` at build time and hand the
         #: whole batch to the core in one extend.
         self.dispatch_delay = dispatch_delay
         #: Running architectural-to-producer map, indexed by architectural
@@ -37,70 +36,21 @@ class MonolithicRenamer:
         #: state.
         self._map: List[Optional[MicroOp]] = [None] * NUM_ARCH_REGS
         #: Whether this cycle finished any fragment's rename — lets the
-        #: SoA step skip the buffer-release scan on cycles where nothing
+        #: processor skip the buffer-release scan on cycles where nothing
         #: can have become releasable.
         self.finished_any = False
 
-    def cycle(self, now: int, fragments: List[FragmentInFlight],
-              make_uop: MakeUop) -> List[MicroOp]:
-        """Rename up to ``width`` instructions in program order."""
-        budget = self.width
-        renamed: List[MicroOp] = []
-        reg_map = self._map
-        for fragment in fragments:
-            if budget <= 0:
-                break
-            if fragment.squashed or fragment.rename_done:
-                continue
-            # Fetch and truncation state cannot change inside this cycle
-            # (fetch runs after rename in Processor.step), so the number
-            # of renameable instructions is computed once per fragment.
-            available = fragment.renameable_count()
-            if fragment.rename_started_cycle < 0 and available:
-                fragment.rename_started_cycle = now
-                self._note_construction(fragment)
-            while budget > 0 and available > 0:
-                if not self.window.reserve_single(fragment.seq):
-                    # NB: deliberately skips the rename.insts accounting
-                    # below, faithful to the original stall behaviour.
-                    self.stats.add("rename.window_stalls")
-                    return renamed
-                uop = make_uop(fragment, fragment.read_count)
-                sources = uop.sources
-                for src in source_regs(uop):
-                    producer = reg_map[src]
-                    if producer is not None:
-                        sources.append(producer)
-                dest = dest_of(uop)
-                if dest is not None:
-                    reg_map[dest] = uop
-                    fragment.internal_writers[dest] = uop
-                fragment.read_count += 1
-                fragment.uops.append(uop)
-                renamed.append(uop)
-                budget -= 1
-                available -= 1
-            if fragment.read_count >= fragment.length:
-                fragment.rename_done = True
-                fragment.rename_done_cycle = now
-                continue
-            # In-order rename cannot skip past unfetched instructions.
-            break
-        self.stats.add("rename.insts", len(renamed))
-        return renamed
-
-    def cycle_soa(self, now: int,
-                  fragments: List[FragmentInFlight]) -> tuple:
-        """The fast loop's batched twin of :meth:`cycle`;
-        returns ``(renamed, wrongpath_count)``.
+    def cycle(self, now: int,
+              fragments: List[FragmentInFlight]) -> tuple:
+        """Rename up to ``width`` instructions in program order; returns
+        ``(renamed, wrongpath_count)``.
 
         One window reservation and one tight loop per fragment batch:
         uops are built directly from the fragment's precomputed
-        :class:`~repro.perf.soa.FragMeta` arrays instead of through the
-        per-uop ``make_uop`` callback.  Stall semantics match the
-        reference bit for bit: a cycle that fills the window renames
-        what fits, counts one ``rename.window_stalls`` and skips the
-        ``rename.insts`` accounting, exactly like the per-uop loop.
+        :class:`~repro.perf.soa.FragMeta` arrays.  A cycle that fills
+        the window renames what fits, counts one
+        ``rename.window_stalls`` and skips the ``rename.insts``
+        accounting.
         """
         budget = self.width
         renamed: List[MicroOp] = []
@@ -115,6 +65,9 @@ class MonolithicRenamer:
                 break
             if fragment.squashed or fragment.rename_done:
                 continue
+            # Fetch and truncation state cannot change inside this cycle
+            # (fetch runs after rename in Processor.step), so the number
+            # of renameable instructions is computed once per fragment.
             available = fragment.renameable_count()
             if fragment.rename_started_cycle < 0 and available:
                 fragment.rename_started_cycle = now
@@ -183,8 +136,8 @@ class MonolithicRenamer:
                     fragment.read_count = start + take
                     budget -= take
             if stalled:
-                # NB: skips the rename.insts accounting below, faithful
-                # to the reference stall behaviour.
+                # NB: a stall cycle deliberately skips the rename.insts
+                # accounting below.
                 self.stats.add("rename.window_stalls")
                 return renamed, wrong
             if fragment.read_count >= fragment.length:
@@ -211,6 +164,6 @@ class MonolithicRenamer:
             if fragment.squashed:
                 continue
             for uop in fragment.uops:
-                dest = dest_of(uop)
+                dest = uop.decoded.dest
                 if dest is not None:
                     reg_map[dest] = uop

@@ -35,7 +35,6 @@ from repro.core.uop import MicroOp, PlaceholderProducer, Producer, UopState
 from repro.frontend.buffers import FragmentInFlight
 from repro.isa.registers import NUM_ARCH_REGS, ZERO_REG
 from repro.predictors.liveout import LiveOutPredictor
-from repro.rename.base import MakeUop, dest_of, link_sources
 from repro.stats import StatsCollector
 
 #: Shared empty incoming map for fragments renamed before phase 1 set one.
@@ -55,8 +54,8 @@ class ParallelRenamer:
         self.window = window
         self.liveout_predictor = liveout_predictor
         self.stats = stats
-        #: Backend dispatch-pipeline latency, so the fast-loop batch
-        #: can stamp ``dispatch_ready_cycle`` at build time and hand the
+        #: Backend dispatch-pipeline latency, so a rename batch can
+        #: stamp ``dispatch_ready_cycle`` at build time and hand the
         #: whole batch to the core in one extend.
         self.dispatch_delay = dispatch_delay
         #: False selects the paper's *solution 1* (Section 4): no live-out
@@ -72,33 +71,24 @@ class ParallelRenamer:
         #: Every fragment that flagged a misprediction this cycle (the
         #: selective re-execution policy must repair each one).
         self.pending_liveout_mispredicts: List[FragmentInFlight] = []
-        #: Whether this cycle finished any fragment's rename — the SoA
-        #: step skips the buffer-release scan on cycles where nothing
+        #: Whether this cycle finished any fragment's rename — the
+        #: processor skips the buffer-release scan on cycles where nothing
         #: can have become releasable (rename_done is only ever set
         #: inside a renamer cycle or on paths that release explicitly).
         self.finished_any = False
 
     # -- per-cycle operation ----------------------------------------------
 
-    def cycle(self, now: int, fragments: List[FragmentInFlight],
-              make_uop: MakeUop) -> List[MicroOp]:
-        """Run both rename phases across all rename units this cycle."""
-        self.pending_liveout_mispredict = None
-        self.pending_liveout_mispredicts = []
-        self._phase1(now, fragments)
-        renamed = self._phase2(now, fragments, make_uop)
-        self.stats.add("rename.insts", len(renamed))
-        return renamed
-
-    def cycle_soa(self, now: int,
-                  fragments: List[FragmentInFlight]) -> tuple:
-        """The fast loop's batched twin of :meth:`cycle`;
+    def cycle(self, now: int,
+              fragments: List[FragmentInFlight]) -> tuple:
+        """Run both rename phases across all rename units this cycle;
         returns ``(renamed, wrongpath_count)``.
 
-        Phase 1 is untouched (it already runs at most once per cycle);
-        phase 2 renames each slot's batch through
-        :meth:`_rename_fragment_soa`, building uops straight from the
-        fragment's precomputed :class:`~repro.perf.soa.FragMeta` arrays.
+        Phase 1 runs at most once per cycle; phase 2 clears finished or
+        squashed slots, fills idle ones oldest-first, and renames each
+        slot's batch through :meth:`_rename_fragment`, building uops
+        straight from the fragment's precomputed
+        :class:`~repro.perf.soa.FragMeta` arrays.
         """
         self.pending_liveout_mispredict = None
         self.pending_liveout_mispredicts = []
@@ -127,7 +117,7 @@ class ParallelRenamer:
         wrong = 0
         for fragment in list(slots):
             if fragment is not None:
-                wrong += self._rename_fragment_soa(now, fragment, renamed)
+                wrong += self._rename_fragment(now, fragment, renamed)
         self.stats.add("rename.insts", len(renamed))
         return renamed, wrong
 
@@ -201,64 +191,15 @@ class ParallelRenamer:
 
     # -- phase 2 -----------------------------------------------------------
 
-    def _phase2(self, now: int, fragments: List[FragmentInFlight],
-                make_uop: MakeUop) -> List[MicroOp]:
-        # Clear finished/squashed slots, then fill idle ones oldest-first.
-        assigned = set()
-        for i, fragment in enumerate(self._slots):
-            if fragment is None:
-                continue
-            if fragment.squashed or fragment.rename_done:
-                self._slots[i] = None
-            else:
-                assigned.add(fragment.seq)
-        candidates = [f for f in fragments
-                      if f.phase1_done and not f.rename_done
-                      and not f.squashed and f.seq not in assigned]
-        for i in range(len(self._slots)):
-            if self._slots[i] is None and candidates:
-                self._slots[i] = candidates.pop(0)
-
-        renamed: List[MicroOp] = []
-        for fragment in [s for s in self._slots if s is not None]:
-            renamed.extend(self._rename_fragment(now, fragment, make_uop))
-        return renamed
-
     def _rename_fragment(self, now: int, fragment: FragmentInFlight,
-                         make_uop: MakeUop) -> List[MicroOp]:
-        renamed: List[MicroOp] = []
-        budget = min(self.renamer_width, fragment.renameable_count())
-        if budget > 0 and fragment.rename_started_cycle < 0:
-            fragment.rename_started_cycle = now
-            self.stats.add("rename.fragments_started")
-            if fragment.complete:
-                self.stats.add("rename.fragments_preconstructed")
-        for _ in range(budget):
-            position = fragment.read_count
-            uop = make_uop(fragment, position)
-            link_sources(uop, fragment.internal_writers,
-                         fragment.incoming_map or {})
-            if any(isinstance(p, PlaceholderProducer) and p.producer is None
-                   for p in uop.sources):
-                self.stats.add("rename.before_source")
-            self._handle_dest(fragment, uop, position)
-            fragment.read_count += 1
-            fragment.uops.append(uop)
-            renamed.append(uop)
-        if (fragment.read_count >= fragment.length
-                and not fragment.rename_done):
-            self._finish_fragment(fragment, now)
-        return renamed
-
-    def _rename_fragment_soa(self, now: int, fragment: FragmentInFlight,
-                             renamed: List[MicroOp]) -> int:
-        """Batched twin of :meth:`_rename_fragment` (appends into
-        *renamed*; returns the batch's wrong-path uop count).  Source
-        linking follows the precomputed ``FragMeta.src_plan`` — the same
-        internal-writer-over-incoming-map priority as
-        :func:`~repro.rename.base.link_sources`, resolved statically —
-        and the live-out misprediction conditions are re-checked per uop
-        because :meth:`_flag_mispredict` can fire mid-batch."""
+                         renamed: List[MicroOp]) -> int:
+        """Rename up to ``renamer_width`` instructions of *fragment*
+        (appends into *renamed*; returns the batch's wrong-path uop
+        count).  Source linking follows the precomputed
+        ``FragMeta.src_plan`` — the fragment's own earlier writer wins
+        over the incoming map, resolved statically — and the live-out
+        misprediction conditions are re-checked per uop because
+        :meth:`_flag_mispredict` can fire mid-batch."""
         wrong = 0
         budget = min(self.renamer_width, fragment.renameable_count())
         if budget > 0 and fragment.rename_started_cycle < 0:
@@ -280,10 +221,9 @@ class ParallelRenamer:
             incoming_get = incoming.get if incoming is not None else _EMPTY.get
             placeholders_get = fragment.placeholders.get
             prediction = fragment.liveout_prediction
-            # Locals mirror the per-uop re-check of the reference loop:
-            # only _flag_mispredict (called right here) can flip
-            # liveout_mispredicted mid-batch, so tracking it locally is
-            # exact.  is_last_write is inlined as a bitmap test.
+            # Only _flag_mispredict (called right here) can flip
+            # liveout_mispredicted mid-batch, so tracking it in a local
+            # is exact.  is_last_write is inlined as a bitmap test.
             check_liveout = (prediction is not None
                              and not fragment.liveout_mispredicted)
             lw_bits = prediction.last_writes if prediction is not None else 0
@@ -349,6 +289,7 @@ class ParallelRenamer:
                             check_liveout = False
                         elif lw_bits >> p & 1:
                             if placeholder.producer is not None:
+                                # Two writes both claim the last-write slot.
                                 self._flag_mispredict(fragment, "cond3")
                                 check_liveout = False
                             else:
@@ -365,28 +306,6 @@ class ParallelRenamer:
                 and not fragment.rename_done):
             self._finish_fragment(fragment, now)
         return wrong
-
-    def _handle_dest(self, fragment: FragmentInFlight, uop: MicroOp,
-                     position: int) -> None:
-        dest = dest_of(uop)
-        if dest is None:
-            return
-        prediction = fragment.liveout_prediction
-        if prediction is not None and not fragment.liveout_mispredicted:
-            placeholder = fragment.placeholders.get(dest)
-            if placeholder is None:
-                # Condition 1: write to an unpredicted live-out.
-                self._flag_mispredict(fragment, "cond1")
-            elif prediction.is_last_write(position):
-                if placeholder.producer is not None:
-                    # Two writes both claiming the last-write slot.
-                    self._flag_mispredict(fragment, "cond3")
-                else:
-                    placeholder.bind(uop)
-            elif placeholder.producer is not None:
-                # Condition 3: write after the predicted last write.
-                self._flag_mispredict(fragment, "cond3")
-        fragment.internal_writers[dest] = uop
 
     def _finish_fragment(self, fragment: FragmentInFlight,
                          now: int) -> None:

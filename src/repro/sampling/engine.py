@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.config import env_int
 from repro.core.processor import Processor
@@ -124,14 +125,28 @@ def resolve_sampling(value: Union[None, bool, int, SamplingConfig]
     return SamplingConfig.from_env(int(value))
 
 
+def _sequential_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum.
+
+    The built-in ``sum`` compensates rounding error from Python 3.12 on,
+    so the same unit CPIs would give estimates that differ in the last
+    bit between the supported Pythons; results must not.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _cpi_stats(unit_cycles: Sequence[int],
                unit_insts: Sequence[int]) -> Tuple[float, float, float]:
     """SMARTS aggregation: (CPI mean, std, 95% CLT half-width)."""
     cpis = [c / i for c, i in zip(unit_cycles, unit_insts)]
     k = len(cpis)
-    cpi_mean = sum(cpis) / k
+    cpi_mean = _sequential_sum(cpis) / k
     if k > 1:
-        variance = sum((c - cpi_mean) ** 2 for c in cpis) / (k - 1)
+        variance = _sequential_sum((c - cpi_mean) ** 2
+                                   for c in cpis) / (k - 1)
         cpi_std = math.sqrt(variance)
         halfwidth = _Z_95 * cpi_std / math.sqrt(k)
     else:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.backend.core import OutOfOrderCore
 from repro.config import BackEndConfig, MemoryConfig
-from repro.core.uop import MicroOp, PlaceholderProducer, UopState
+from repro.core.uop import DecodedUop, MicroOp, PlaceholderProducer, UopState
 from repro.emulator.stream import DynamicInstruction
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
@@ -27,7 +27,7 @@ def make_uop(source_text="add t0, t1, t2", record=None, seq=None):
         _SEQ[0] += 1
         seq = _SEQ[0]
     return MicroOp(seq, inst, inst.addr, fragment_seq=0, position=0,
-                   record=record)
+                   record=record, decoded=DecodedUop(inst))
 
 
 def run_until_done(core, uop, max_cycles=300):

@@ -97,11 +97,6 @@ def _probe_live() -> bool:
     return LiveConfig.from_env() is not None
 
 
-def _probe_fast() -> bool:
-    from repro.perf import PerfConfig
-    return PerfConfig.from_env().fast
-
-
 PROBES = {
     "REPRO_SWEEP_GROUP": _probe_sweep_group,
     "REPRO_NO_CACHE": _probe_no_cache,
@@ -110,7 +105,6 @@ PROBES = {
     "REPRO_OBS_TRACE": _probe_obs_trace,
     "REPRO_OBS_PROFILE": _probe_obs_profile,
     "REPRO_LIVE": _probe_live,
-    "REPRO_FAST": _probe_fast,
 }
 
 

@@ -1,12 +1,13 @@
 """Tests for the performance layer (``repro.perf``).
 
-Three concerns (the per-mode parity matrix of the fast loop against
-the reference loop lives in ``tests/test_perf_soa.py``):
+Three concerns (the per-mode golden digest table lives in
+``tests/test_golden_digests.py``):
 
 * **DecodeCache** — hit/miss/eviction unit behaviour.
 * **Golden parity in a warm process** — what one process keeps
   between runs (prepared streams, warm-predictor snapshots) must not
-  leak into a later run's counters, whatever ran before it.
+  leak into a later run's counters, whatever ran before it: each run
+  must still match the golden digest table.
 * **Benchmark harness** — ``run_matrix``/``compare_records`` record
   shape and regression gating, plus a ``bench_perf.py --smoke`` run.
 """
@@ -18,22 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import perf, run_simulation
+from repro import perf
 from repro.core.uop import DecodeCache
 from repro.isa.assembler import assemble
+from tests.test_golden_digests import digest, expected, full
 
 BENCH_SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_perf.py"
-LENGTH = 3000
-
-
-def identity(result):
-    """Everything parity compares, bit for bit."""
-    return (result.cycles, result.committed, dict(result.counters))
-
-
-def run_loop(fast, config, monkeypatch, benchmark="gcc"):
-    monkeypatch.setenv(perf.PERF_FAST_ENV, "1" if fast else "0")
-    return run_simulation(config, benchmark, max_instructions=LENGTH)
 
 
 class TestDecodeCache:
@@ -80,36 +71,33 @@ class TestDecodeCache:
         assert cache.hits == hits_before + 1
 
 
+@pytest.mark.usefixtures("hermetic_env")
 class TestGoldenParity:
-    """Run order must not matter: the reference loop first, then the
-    fast loop twice in the same process, all three bit-identical."""
+    """Run order must not matter: two runs of one config in the same
+    process, and a run after another benchmark filled the process-wide
+    prep caches, all match the golden digest table."""
 
     @pytest.mark.parametrize("config", ("w16", "tc", "pr-2x8w"))
-    def test_counters_bit_identical(self, config, monkeypatch):
-        reference = run_loop(False, config, monkeypatch)
-        first = run_loop(True, config, monkeypatch)
-        second = run_loop(True, config, monkeypatch)
-        assert identity(first) == identity(reference)
-        assert identity(second) == identity(reference)
+    def test_counters_bit_identical(self, config):
+        first = full(config, "gcc")
+        second = full(config, "gcc")
+        assert digest(first) == expected(f"full/{config}/gcc")
+        assert digest(second) == expected(f"full/{config}/gcc")
 
-    def test_parity_on_second_benchmark(self, monkeypatch):
-        # A fast run on gcc first fills the process-wide prep caches;
-        # the mcf run after it must not be served from them.
+    def test_parity_on_second_benchmark(self):
+        # A run on gcc first fills the process-wide prep caches; the
+        # mcf run after it must not be served from them.
         for config in ("pf-2x8w", "pr-2x8w"):
-            run_loop(True, config, monkeypatch, benchmark="gcc")
-            fast = run_loop(True, config, monkeypatch, benchmark="mcf")
-            reference = run_loop(False, config, monkeypatch,
-                                 benchmark="mcf")
-            assert identity(fast) == identity(reference), config
+            full(config, "gcc")
+            assert digest(full(config, "mcf")) == \
+                expected(f"full/{config}/mcf"), config
 
 
 class TestBenchHarness:
-    def test_run_matrix_record_shape(self, monkeypatch):
-        monkeypatch.setenv(perf.PERF_FAST_ENV, "1")
+    def test_run_matrix_record_shape(self):
         record = perf.run_matrix(configs=("w16",), instructions=2000,
                                  repeats=1, phase_breakdown=False)
         assert record["schema"] == perf.SCHEMA_VERSION
-        assert record["fast_paths"] is True
         assert record["calibration_score"] > 0
         (entry,) = record["entries"]
         assert entry["config"] == "w16"

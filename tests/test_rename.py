@@ -8,11 +8,12 @@ from repro.config import (
     LiveOutPredictorConfig,
     MemoryConfig,
 )
-from repro.core.uop import MicroOp, PlaceholderProducer
+from repro.core.uop import DecodeCache, PlaceholderProducer
 from repro.frontend.buffers import FragmentInFlight
 from repro.frontend.fragments import walk_fragment
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.perf.soa import FragMeta
 from repro.predictors.liveout import LiveOutPredictor, compute_liveouts
 from repro.rename.monolithic import MonolithicRenamer
 from repro.rename.parallel import ParallelRenamer
@@ -28,22 +29,25 @@ def make_core():
 
 
 def make_fragments(source, starts):
-    """Build fully-fetched fragments starting at each symbol in *starts*."""
+    """Build fully-fetched fragments starting at each symbol in *starts*
+    (no oracle records: every uop they rename is on the wrong path)."""
     program = assemble(source)
     fragments = []
     for seq, label in enumerate(starts):
         static = walk_fragment(program, program.symbols[label], (), CONFIG)
         fragment = FragmentInFlight(seq, static.key, static, (), ())
+        fragment.soa_meta = FragMeta(static, DecodeCache())
         fragment.fetched_count = static.length
         fragment.complete = True
         fragments.append(fragment)
     return program, fragments
 
 
-def simple_make_uop(fragment, position):
-    inst = fragment.static_frag.instructions[position]
-    return MicroOp((fragment.seq << 8) | position, inst, inst.addr,
-                   fragment.seq, position, record=None)
+def rename(renamer, now, fragments):
+    """One rename cycle; the uops it renamed."""
+    renamed, wrong = renamer.cycle(now, fragments)
+    assert wrong == len(renamed)
+    return renamed
 
 
 TWO_FRAGMENT_SOURCE = """
@@ -64,7 +68,7 @@ class TestMonolithicRenamer:
         core, stats = make_core()
         renamer = MonolithicRenamer(16, core, stats)
         _, fragments = make_fragments(TWO_FRAGMENT_SOURCE, ["f0", "f1"])
-        renamed = renamer.cycle(1, fragments, simple_make_uop)
+        renamed = rename(renamer, 1, fragments)
         assert len(renamed) == 7
         # f1's `add t3, t2, t0` must point at f0's producers.
         cross = fragments[1].uops[0]
@@ -75,8 +79,8 @@ class TestMonolithicRenamer:
         core, stats = make_core()
         renamer = MonolithicRenamer(3, core, stats)
         _, fragments = make_fragments(TWO_FRAGMENT_SOURCE, ["f0", "f1"])
-        assert len(renamer.cycle(1, fragments, simple_make_uop)) == 3
-        assert len(renamer.cycle(2, fragments, simple_make_uop)) == 3
+        assert len(rename(renamer, 1, fragments)) == 3
+        assert len(rename(renamer, 2, fragments)) == 3
 
     def test_cannot_skip_unfetched_oldest(self):
         core, stats = make_core()
@@ -84,7 +88,7 @@ class TestMonolithicRenamer:
         _, fragments = make_fragments(TWO_FRAGMENT_SOURCE, ["f0", "f1"])
         fragments[0].fetched_count = 2  # f0 only partially fetched
         fragments[0].complete = False
-        renamed = renamer.cycle(1, fragments, simple_make_uop)
+        renamed = rename(renamer, 1, fragments)
         assert len(renamed) == 2  # stops at the unfetched instruction
         assert all(u.fragment_seq == 0 for u in renamed)
 
@@ -93,7 +97,7 @@ class TestMonolithicRenamer:
         core.reserve(BackEndConfig().window_size, fragment_seq=99)
         renamer = MonolithicRenamer(16, core, stats)
         _, fragments = make_fragments(TWO_FRAGMENT_SOURCE, ["f0"])
-        assert renamer.cycle(1, fragments, simple_make_uop) == []
+        assert rename(renamer, 1, fragments) == []
         assert stats.get("rename.window_stalls") == 1
 
 
@@ -113,8 +117,8 @@ class TestParallelRenamer:
                   + "\n    jr t0\n"
                   + "f1:\n    add t3, t0, t1\n    jr t3\n")
         _, fragments = make_fragments(source, ["f0", "f1"])
-        renamer.cycle(1, fragments, simple_make_uop)   # phase1+start f0
-        renamer.cycle(2, fragments, simple_make_uop)   # phase1 f1, both run
+        rename(renamer, 1, fragments)   # phase1+start f0
+        rename(renamer, 2, fragments)   # phase1 f1, both run
         assert not fragments[0].rename_done
         assert fragments[1].uops, "f1 renamed in parallel with cold f0"
         cross = fragments[1].uops[0]
@@ -123,8 +127,8 @@ class TestParallelRenamer:
         assert placeholders
         assert all(p.producer is None and not p.ready
                    for p in placeholders)
-        renamer.cycle(3, fragments, simple_make_uop)
-        renamer.cycle(4, fragments, simple_make_uop)
+        rename(renamer, 3, fragments)
+        rename(renamer, 4, fragments)
         assert fragments[0].rename_done and fragments[1].rename_done
         assert stats.get("rename.liveout_cold") == 2
         # Cold placeholders resolved once f0's rename completed.
@@ -142,7 +146,7 @@ class TestParallelRenamer:
                 fragment.static_frag.instructions))
         renamer, _ = self.make_renamer(core, stats, predictor=predictor)
         for cycle in range(1, 5):
-            renamer.cycle(cycle, fragments, simple_make_uop)
+            rename(renamer, cycle, fragments)
         assert fragments[0].rename_done and fragments[1].rename_done
         assert stats.get("rename.liveout_mispredicts") == 0
         # Every placeholder of f0 bound to the actual last writer.
@@ -157,9 +161,9 @@ class TestParallelRenamer:
         for fragment in fragments:
             predictor.train(fragment.key, compute_liveouts(
                 fragment.static_frag.instructions))
-        renamer.cycle(1, fragments, simple_make_uop)
+        rename(renamer, 1, fragments)
         assert fragments[0].phase1_done and not fragments[1].phase1_done
-        renamer.cycle(2, fragments, simple_make_uop)
+        rename(renamer, 2, fragments)
         assert fragments[1].phase1_done
 
     def test_wrong_liveout_prediction_detected(self):
@@ -175,7 +179,7 @@ class TestParallelRenamer:
         predictor.train(fragments[0].key, wrong)
         renamer, _ = self.make_renamer(core, stats, predictor=predictor)
         for cycle in range(1, 4):
-            renamer.cycle(cycle, fragments, simple_make_uop)
+            rename(renamer, cycle, fragments)
         assert stats.get("rename.liveout_mispredicts") == 1
         assert fragments[0].liveout_mispredicted
 
@@ -183,7 +187,7 @@ class TestParallelRenamer:
         core, stats = make_core()
         renamer, _ = self.make_renamer(core, stats)
         _, fragments = make_fragments(TWO_FRAGMENT_SOURCE, ["f0"])
-        renamer.cycle(1, fragments, simple_make_uop)
+        rename(renamer, 1, fragments)
         assert core.window_free == \
             BackEndConfig().window_size - fragments[0].length
 
@@ -198,13 +202,13 @@ class TestParallelRenamer:
         for fragment in fragments:
             predictor.train(fragment.key, compute_liveouts(
                 fragment.static_frag.instructions))
-        renamer.cycle(1, fragments, simple_make_uop)   # phase1 g0, rename g0
-        renamed = renamer.cycle(2, fragments, simple_make_uop)
+        rename(renamer, 1, fragments)   # phase1 g0, rename g0
+        renamed = rename(renamer, 2, fragments)
         # Cycle 2: g0 (second renamer slot free) and g1 in flight.
         assert len({u.fragment_seq for u in renamed}) >= 1
         total = []
         for cycle in range(3, 8):
-            total.extend(renamer.cycle(cycle, fragments, simple_make_uop))
+            total.extend(rename(renamer, cycle, fragments))
         assert all(f.rename_done for f in fragments)
 
 
@@ -219,7 +223,7 @@ class TestDelayRenamer:
                                   use_liveout_prediction=False)
         _, fragments = make_fragments(TWO_FRAGMENT_SOURCE, ["f0", "f1"])
         for cycle in range(1, 5):
-            renamer.cycle(cycle, fragments, simple_make_uop)
+            rename(renamer, cycle, fragments)
         assert all(f.rename_done for f in fragments)
         assert stats.get("rename.liveout_lookups") == 0
         assert stats.get("rename.delay_fragments") == 2
@@ -268,6 +272,36 @@ class TestSelectiveReexecution:
         if result.counter("rename.liveout_mispredicts"):
             assert result.counter("rename.liveout_squashes") == 0
             assert result.counter("rename.liveout_reexec_events") > 0
+
+    def test_no_wakeup_by_unlisted_producer(self, monkeypatch):
+        """A re-dispatched uop leaves its old producers' wait lists: no
+        WAITING uop may be woken by a producer none of its sources
+        resolves to (the wakeup would lower ``pending`` for a source it
+        no longer has and could make it READY early)."""
+        from repro.backend.core import OutOfOrderCore
+        from repro.core.uop import UopState
+
+        def resolve(source):
+            while isinstance(source, PlaceholderProducer) \
+                    and source.producer is not None:
+                source = source.producer
+            return source
+
+        stale = []
+        wakeup = OutOfOrderCore._wakeup
+
+        def probe(core, producer):
+            stale.extend(
+                consumer.seq for consumer in producer.consumers
+                if consumer.state is UopState.WAITING
+                and not any(resolve(s) is producer
+                            for s in consumer.sources))
+            wakeup(core, producer)
+
+        monkeypatch.setattr(OutOfOrderCore, "_wakeup", probe)
+        result = self._run("pr-4x4w", "gcc", "reexecute", n=3000)
+        assert result.counter("rename.reexecuted_uops") > 0
+        assert stale == []
 
     def test_reexecute_never_slower_by_much(self):
         """The paper: squashing is acceptable when misprediction rates are

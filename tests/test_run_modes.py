@@ -266,14 +266,12 @@ def unreachable_after(run):
             gc.enable()
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
 @pytest.mark.parametrize("case", list(ACYCLIC_RUNS))
-def test_run_leaves_no_reference_cycle(monkeypatch, tmp_path, case, fast):
+def test_run_leaves_no_reference_cycle(tmp_path, case):
     """Squashed and in-flight micro-ops are unlinked where they die and
     the processor holds no bound method of its own, so reference
     counting frees a whole run — the invariant that lets ``run_cosim``
     pause the cyclic collector."""
-    monkeypatch.setenv("REPRO_FAST", "1" if fast else "0")
     run = ACYCLIC_RUNS[case]
     run(tmp_path)  # prepares the stream and the warm snapshots
     result, unreachable = unreachable_after(lambda: run(tmp_path))

@@ -506,6 +506,12 @@ class TestRunSampled:
         assert result.counter("sampling.enabled") == 1.0
         assert result.counter("sampling.period") == 4.0
 
+    def test_estimate_does_not_depend_on_python_version(self):
+        # Ten units at CPI 0.1: summed left to right they make
+        # 0.9999999999999999, compensated (sum() from Python 3.12) 1.0.
+        mean, _, _ = sampling_engine._cpi_stats([1] * 10, [10] * 10)
+        assert mean == 0.9999999999999999 / 10
+
     def test_deterministic_across_processes(self, tmp_path):
         """Two fresh interpreters must produce identical sampled results
         (one exercises the cold disk-cache path, one the warm path)."""

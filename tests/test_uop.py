@@ -1,13 +1,13 @@
 """Unit tests for micro-ops and placeholder producers."""
 
-from repro.core.uop import MicroOp, PlaceholderProducer, UopState
+from repro.core.uop import DecodedUop, MicroOp, PlaceholderProducer, UopState
 from repro.isa.assembler import assemble
 
 
 def make_uop(text="add t0, t1, t2", seq=1):
     inst = assemble(text).instructions[0]
     return MicroOp(seq, inst, inst.addr, fragment_seq=0, position=0,
-                   record=None)
+                   record=None, decoded=DecodedUop(inst))
 
 
 class TestMicroOp:
