@@ -133,6 +133,20 @@ class OutOfOrderCore:
                           if isinstance(source, PlaceholderProducer)
                           else None)
 
+    def cancel_completion(self, uop: MicroOp) -> None:
+        """Withdraw the completion event an executing *uop*'s issue
+        scheduled.
+
+        Selective re-execution resets executing uops; an event left
+        behind would finish the re-issued uop at the old, earlier cycle.
+        """
+        for due, bucket in self._completions.items():
+            if uop in bucket:
+                bucket.remove(uop)
+                if not bucket:
+                    del self._completions[due]
+                return
+
     def bind_placeholder(self, placeholder: PlaceholderProducer,
                          producer=None, ready: bool = False) -> None:
         """Late-bind a placeholder (cold-fragment resolution).

@@ -727,6 +727,8 @@ class Processor:
                 if is_dirty:
                     dirty.add(id(uop))
                     if uop.state is not UopState.RENAMED:
+                        if uop.state is UopState.EXECUTING:
+                            self.core.cancel_completion(uop)
                         self.core.detach_waiter(uop)
                         uop.state = UopState.RENAMED
                         uop.pending = 0

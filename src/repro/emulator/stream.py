@@ -16,7 +16,7 @@ from __future__ import annotations
 import gc
 from array import array
 from contextlib import contextmanager
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
@@ -164,7 +164,22 @@ def decode_stream(program: Program, packed: PackedStream) -> ExecutionResult:
     with gc_paused():
         eas = [ea if present else None
                for ea, present in zip(packed.ea, packed.has_ea)]
-        stream = list(map(DynamicInstruction, range(count),
-                          map(program.inst_at, pcs), pcs, packed.next_pc,
-                          map(bool, packed.taken), eas))
+        stream = build_records(program, 0, pcs, packed.next_pc,
+                               map(bool, packed.taken), eas)
     return ExecutionResult(stream, list(packed.outputs), bool(packed.halted))
+
+
+def build_records(program: Program, first: int, pcs: Sequence[int],
+                  next_pcs: Iterable[int], taken: Iterable[bool],
+                  eas: Iterable[Optional[int]]) -> List[DynamicInstruction]:
+    """The records of a stream segment, built in one pass.
+
+    Record *i* executed ``program.inst_at(pcs[i])`` as dynamic
+    instruction ``first + i``; the other columns give its remaining
+    fields.  Emulation (:meth:`Machine.run
+    <repro.emulator.machine.Machine.run>`) and :func:`decode_stream`
+    both build their records here.  Call it with the cyclic collector
+    paused (:func:`gc_paused`): it allocates one object per record.
+    """
+    return list(map(DynamicInstruction, range(first, first + len(pcs)),
+                    map(program.inst_at, pcs), pcs, next_pcs, taken, eas))

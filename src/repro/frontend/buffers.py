@@ -50,9 +50,8 @@ class FragmentInFlight:
         #: ``len(static_frag.instructions)``, snapshotted: length checks
         #: run several times per instruction on the rename hot path.
         self._static_len = len(static_frag.instructions)
-        #: Fast-loop batched metadata (:class:`repro.perf.soa.FragMeta`),
-        #: attached by the processor's SoA tagger; None in the reference
-        #: loop.
+        #: Batched per-position metadata (:class:`repro.perf.soa.FragMeta`),
+        #: attached by ``Processor._tag`` before the fragment is fetched.
         self.soa_meta = None
         self.buffer_index: Optional[int] = None
 

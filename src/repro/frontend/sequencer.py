@@ -89,32 +89,14 @@ class Sequencer:
                 fragment.fetch_pending_line = line
                 self.stats.add("fetch.line_misses")
                 return 0
-        meta = fragment.soa_meta
-        if meta is not None:
-            # Fast loop: the cycle's stopping point is a pure function of
-            # the static fragment and the sequencer geometry — replay it
-            # from the precomputed chunk table instead of re-walking.
-            geometry = self._geometry
-            table = meta.chunks.get(geometry)
-            if table is None:
-                table = self._build_chunks(pcs)
-                meta.chunks[geometry] = table
-            cursor, fetched = table[cursor]
-        else:
-            fetched = 0
-            slots_used = 0
-            while cursor < len(pcs) and slots_used < self.width:
-                pc = pcs[cursor]
-                if pc >> self._line_shift != line:
-                    break  # line boundary: next line comes next cycle
-                inst = self.program.inst_at(pc)
-                slots_used += 1
-                cursor += 1
-                if not inst.is_nop:
-                    fetched += 1
-                # Taken control transfer ends the cycle's fetch run.
-                if cursor < len(pcs) and pcs[cursor] != pc + 4:
-                    break
+        # The cycle's stopping point is a pure function of the static
+        # fragment and the sequencer geometry: replay it from the
+        # fragment's precomputed chunk table instead of re-walking.
+        chunks = fragment.soa_meta.chunks
+        table = chunks.get(self._geometry)
+        if table is None:
+            table = chunks[self._geometry] = self._build_chunks(pcs)
+        cursor, fetched = table[cursor]
 
         fragment.fetch_cursor = cursor
         fragment.fetched_count += fetched
@@ -136,10 +118,12 @@ class Sequencer:
     def _build_chunks(self, pcs) -> dict:
         """Chunk table for one fragment: ``start -> (end, fetched)``.
 
-        Verbatim replay of the per-cycle walk above, run over the whole
-        fragment.  Fetch always resumes at a previous chunk's end (misses
-        and bank conflicts leave the cursor untouched), so every cursor
-        value the sequencer can observe is a chunk start.
+        Walks the whole fragment once, one fetch cycle per chunk: a cycle
+        takes at most ``width`` slots from one cache line, counts the
+        non-NOP instructions, and ends after a taken control transfer.
+        Fetch always resumes at a previous chunk's end (misses and bank
+        conflicts leave the cursor untouched), so every cursor value the
+        sequencer can observe is a chunk start.
         """
         table = {}
         cursor = 0

@@ -67,6 +67,26 @@ CONTROL_CLASSES = frozenset(
 INDIRECT_CLASSES = frozenset({OpClass.IJUMP, OpClass.ICALL, OpClass.RETURN})
 
 
+def _classify(op_class: OpClass) -> dict:
+    """The classification attributes of an instruction of *op_class*.
+
+    ``nop`` and ``halt`` are the only opcodes of their classes.
+    """
+    return {
+        "op_class": op_class,
+        "is_control": op_class in CONTROL_CLASSES,
+        "is_cond_branch": op_class is OpClass.BRANCH,
+        "is_indirect": op_class in INDIRECT_CLASSES,
+        "is_call": op_class in (OpClass.CALL, OpClass.ICALL),
+        "is_return": op_class is OpClass.RETURN,
+        "is_nop": op_class is OpClass.NOP,
+        "is_halt": op_class is OpClass.HALT,
+        "is_load": op_class is OpClass.LOAD,
+        "is_store": op_class is OpClass.STORE,
+        "is_mem": op_class in (OpClass.LOAD, OpClass.STORE),
+    }
+
+
 class Opcode(enum.Enum):
     """Every opcode in the ISA.
 
@@ -130,6 +150,9 @@ class Opcode(enum.Enum):
     def __init__(self, mnemonic: str, op_class: OpClass):
         self.mnemonic = mnemonic
         self.op_class = op_class
+        #: The classification every :class:`Instruction` of this opcode
+        #: carries, keyed in instance-dict order.
+        self.classification = _classify(op_class)
 
 
 #: Mnemonic -> Opcode lookup used by the assembler.
@@ -189,34 +212,24 @@ class Instruction:
                          default=False)
 
     def __post_init__(self) -> None:
-        set_attr = object.__setattr__  # frozen dataclass escape hatch
-        op_class = self.opcode.op_class
-        set_attr(self, "op_class", op_class)
-        set_attr(self, "is_control", op_class in CONTROL_CLASSES)
-        set_attr(self, "is_cond_branch", op_class is OpClass.BRANCH)
-        set_attr(self, "is_indirect", op_class in INDIRECT_CLASSES)
-        set_attr(self, "is_call",
-                 op_class in (OpClass.CALL, OpClass.ICALL))
-        set_attr(self, "is_return", op_class is OpClass.RETURN)
-        set_attr(self, "is_nop", self.opcode is Opcode.NOP)
-        set_attr(self, "is_halt", self.opcode is Opcode.HALT)
-        set_attr(self, "is_load", op_class is OpClass.LOAD)
-        set_attr(self, "is_store", op_class is OpClass.STORE)
-        set_attr(self, "is_mem",
-                 op_class in (OpClass.LOAD, OpClass.STORE))
-        srcs = []
-        if self.rs1 is not None:
-            srcs.append(self.rs1)
-        if self.rs2 is not None:
-            srcs.append(self.rs2)
-        if self.is_return:
-            srcs.append(LINK_REG)
-        set_attr(self, "_srcs", tuple(srcs))
-        if op_class in (OpClass.CALL, OpClass.ICALL):
-            dest = self.rd if self.rd is not None else LINK_REG
+        # The instance dict is written directly (the dataclass is
+        # frozen), the classification in one update from the opcode's
+        # precomputed row.  Keys land in the order of the fields above:
+        # pickled programs and stream bundles depend on it.
+        attrs = self.__dict__
+        classification = self.opcode.classification
+        attrs.update(classification)
+        rs1, rs2 = self.rs1, self.rs2
+        if rs1 is None:
+            srcs = () if rs2 is None else (rs2,)
         else:
-            dest = self.rd
-        set_attr(self, "_dest", dest)
+            srcs = (rs1,) if rs2 is None else (rs1, rs2)
+        if classification["is_return"]:
+            srcs += (LINK_REG,)
+        attrs["_srcs"] = srcs
+        rd = self.rd
+        attrs["_dest"] = (LINK_REG if rd is None and classification["is_call"]
+                          else rd)
 
     # -- dataflow --------------------------------------------------------
 

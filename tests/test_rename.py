@@ -303,6 +303,31 @@ class TestSelectiveReexecution:
         assert result.counter("rename.reexecuted_uops") > 0
         assert stale == []
 
+    def test_no_completion_before_its_own_issue(self, monkeypatch):
+        """A re-dispatched uop completes only through the event its own
+        issue scheduled: none may finish while it still sits in a later
+        completion bucket (the old issue's event would finish it early).
+        On pr-2x8w/gcc at 30 000 instructions one uop used to."""
+        from repro.backend.core import OutOfOrderCore
+        from repro.core.uop import UopState
+
+        early = []
+        complete = OutOfOrderCore._complete
+
+        def probe(core, now):
+            finishing = {id(uop) for uop in core._completions.get(now, ())
+                         if uop.state is UopState.EXECUTING}
+            early.extend(
+                (uop.seq, now, due)
+                for due, bucket in core._completions.items() if due > now
+                for uop in bucket if id(uop) in finishing)
+            return complete(core, now)
+
+        monkeypatch.setattr(OutOfOrderCore, "_complete", probe)
+        result = self._run("pr-2x8w", "gcc", "reexecute", n=30_000)
+        assert result.counter("rename.reexecuted_uops") > 0
+        assert early == []
+
     def test_reexecute_never_slower_by_much(self):
         """The paper: squashing is acceptable when misprediction rates are
         low; re-execution should be a small refinement either way."""

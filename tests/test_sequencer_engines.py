@@ -5,6 +5,7 @@ from repro.config import (
     MemoryConfig,
     TraceCacheConfig,
 )
+from repro.core.uop import DecodeCache
 from repro.frontend.buffers import FragmentInFlight
 from repro.frontend.engines import (
     ParallelFillEngine,
@@ -17,6 +18,7 @@ from repro.frontend.sequencer import Sequencer
 from repro.frontend.trace_cache import TraceCache
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.perf.soa import FragMeta
 from repro.stats import StatsCollector
 
 CONFIG = FragmentConfig()
@@ -31,7 +33,9 @@ def setup(source):
 
 def fragment_at(program, label, seq=0, dirs=()):
     static = walk_fragment(program, program.symbols[label], dirs, CONFIG)
-    return FragmentInFlight(seq, static.key, static, (), ())
+    fragment = FragmentInFlight(seq, static.key, static, (), ())
+    fragment.soa_meta = FragMeta(static, DecodeCache())
+    return fragment
 
 
 def warm_lines(memory, fragment):
