@@ -77,7 +77,8 @@ def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector around code that builds no
     reference cycle.
 
-    Stream builds (emulation, :func:`decode_stream`) and every run of
+    Program generation (:func:`repro.workloads.generator.generate_program`),
+    stream builds (emulation, :func:`decode_stream`) and every run of
     :func:`repro.perf.cosim.run_cosim` pause it: what they build is
     acyclic, so the collector's passes meanwhile free nothing and only
     re-walk long-lived objects.  Reference counting frees garbage as

@@ -33,24 +33,29 @@ operands).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import AssemblerError
-from repro.isa.instructions import (
-    INSTRUCTION_BYTES,
-    MNEMONIC_TO_OPCODE,
-    Instruction,
-    OpClass,
-    Opcode,
-)
+from repro.isa.instructions import (INSTRUCTION_BYTES, MNEMONIC_TO_OPCODE,
+                                    Instruction, Opcode)
 from repro.isa.program import DATA_BASE, TEXT_BASE, WORD_BYTES, Program
-from repro.isa.registers import LINK_REG, parse_reg
+from repro.isa.registers import (LINK_REG, NUM_ARCH_REGS, REG_ALIASES,
+                                 parse_reg, reg_name)
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _MEM_OPERAND_RE = re.compile(r"^(-?\w+)\((\w+)\)$")
 
 #: Signed 16-bit immediate range for I-format instructions.
 IMM_MIN, IMM_MAX = -(1 << 15), (1 << 15) - 1
+
+#: Every register's usual spelling (``r7``, ``f3``, the aliases) -> its
+#: architectural index.  Other spellings (``R7``, ``r07``) go through
+#: :func:`parse_reg`, which also words the error for a non-register.
+_REGISTERS = {**{reg_name(index): index for index in range(NUM_ARCH_REGS)},
+              **REG_ALIASES}
+
+#: One statement after pass 1: mnemonic, operands, line, address.
+_Statement = Tuple[str, List[str], int, int]
 
 
 def _parse_int(text: str, line: int) -> int:
@@ -60,28 +65,214 @@ def _parse_int(text: str, line: int) -> int:
         raise AssemblerError(f"bad integer literal {text!r}", line) from None
 
 
-class _Statement:
-    """One source statement after pass 1: mnemonic + operands + address."""
-
-    __slots__ = ("mnemonic", "operands", "line", "addr")
-
-    def __init__(self, mnemonic: str, operands: List[str], line: int, addr: int):
-        self.mnemonic = mnemonic
-        self.operands = operands
-        self.line = line
-        self.addr = addr
+def _reg(token: str, line: int) -> int:
+    index = _REGISTERS.get(token)
+    if index is not None:
+        return index
+    try:
+        return parse_reg(token)
+    except ValueError as exc:
+        raise AssemblerError(str(exc), line) from None
 
 
-def _pseudo_size(mnemonic: str, operands: List[str], line: int) -> int:
-    """Number of real instructions a statement expands to (pass 1)."""
-    if mnemonic == "li":
-        if len(operands) != 2:
-            raise AssemblerError("li needs 2 operands", line)
-        value = _parse_int(operands[1], line)
-        return 1 if IMM_MIN <= value <= IMM_MAX else 2
-    if mnemonic == "la":
-        return 2
-    return 1
+def _value(token: str, symbols: Dict[str, int], line: int) -> int:
+    """A label's address or an integer literal."""
+    value = symbols.get(token)
+    return _parse_int(token, line) if value is None else value
+
+
+def _mem(token: str, symbols: Dict[str, int], line: int) -> Tuple[int, int]:
+    """Parse an ``imm(reg)`` memory operand to (base register, offset)."""
+    match = _MEM_OPERAND_RE.match(token.replace(" ", ""))
+    if not match:
+        raise AssemblerError(f"bad memory operand {token!r}", line)
+    offset_text, reg_text = match.groups()
+    offset = _value(offset_text, symbols, line)
+    if not IMM_MIN <= offset <= IMM_MAX:
+        raise AssemblerError(f"memory offset {offset} out of range", line)
+    return _reg(reg_text, line), offset
+
+
+# -- encoders ------------------------------------------------------------
+#
+# ``encode(opcode, operands, symbols, line, addr)`` returns the
+# statement's instructions, placed from *addr* on.  Operands are checked
+# left to right in the order each form reads them, which fixes which
+# error a statement with several bad operands reports.
+
+Encoder = Callable[[Opcode, Sequence[str], Dict[str, int], int, int],
+                   Tuple[Instruction, ...]]
+
+
+def _bare(opcode, ops, symbols, line, addr):
+    """``nop``, ``halt``."""
+    return (Instruction(opcode, addr=addr),)
+
+
+def _ret(opcode, ops, symbols, line, addr):
+    return (Instruction(opcode, rs1=LINK_REG, addr=addr),)
+
+
+def _source(opcode, ops, symbols, line, addr):
+    """``out rs1``, ``jr rs1``."""
+    return (Instruction(opcode, rs1=_reg(ops[0], line), addr=addr),)
+
+
+def _lui(opcode, ops, symbols, line, addr):
+    return (Instruction(opcode, rd=_reg(ops[0], line),
+                        imm=_value(ops[1], symbols, line), addr=addr),)
+
+
+def _logical(opcode, ops, symbols, line, addr):
+    """``andi``/``ori``/``xori``: zero-extended 16-bit immediates."""
+    rd, rs1 = _reg(ops[0], line), _reg(ops[1], line)
+    imm = _value(ops[2], symbols, line)
+    if not 0 <= imm <= 0xFFFF:
+        raise AssemblerError(
+            f"logical immediate {imm} out of 0..65535 range", line)
+    return (Instruction(opcode, rd=rd, rs1=rs1, imm=imm, addr=addr),)
+
+
+def _arith(opcode, ops, symbols, line, addr):
+    """``addi``/``slli``/``srli``/``slti``: signed 16-bit immediates."""
+    rd, rs1 = _reg(ops[0], line), _reg(ops[1], line)
+    imm = _value(ops[2], symbols, line)
+    if not IMM_MIN <= imm <= IMM_MAX:
+        raise AssemblerError(
+            f"immediate {imm} out of 16-bit range (use li/la)", line)
+    return (Instruction(opcode, rd=rd, rs1=rs1, imm=imm, addr=addr),)
+
+
+def _r3(opcode, ops, symbols, line, addr):
+    return (Instruction(opcode, rd=_reg(ops[0], line),
+                        rs1=_reg(ops[1], line), rs2=_reg(ops[2], line),
+                        addr=addr),)
+
+
+def _r2(opcode, ops, symbols, line, addr):
+    """``fcvt rd, rs1``, ``mv rd, rs1`` (``addi rd, rs1, 0``), and
+    ``jalr rd, rs1``."""
+    return (Instruction(opcode, rd=_reg(ops[0], line),
+                        rs1=_reg(ops[1], line), addr=addr),)
+
+
+def _load(opcode, ops, symbols, line, addr):
+    base, offset = _mem(ops[1], symbols, line)
+    return (Instruction(opcode, rd=_reg(ops[0], line), rs1=base, imm=offset,
+                        addr=addr),)
+
+
+def _store(opcode, ops, symbols, line, addr):
+    base, offset = _mem(ops[1], symbols, line)
+    return (Instruction(opcode, rs1=base, rs2=_reg(ops[0], line), imm=offset,
+                        addr=addr),)
+
+
+def _branch(opcode, ops, symbols, line, addr):
+    return (Instruction(opcode, rs1=_reg(ops[0], line),
+                        rs2=_reg(ops[1], line),
+                        target=_value(ops[2], symbols, line), addr=addr),)
+
+
+def _swapped(opcode, ops, symbols, line, addr):
+    """``bgt a, b, L`` is ``blt b, a, L``; ``ble a, b, L`` is
+    ``bge b, a, L``."""
+    return (Instruction(opcode, rs1=_reg(ops[1], line),
+                        rs2=_reg(ops[0], line),
+                        target=_value(ops[2], symbols, line), addr=addr),)
+
+
+def _jump(opcode, ops, symbols, line, addr):
+    """``j L``, ``b L``."""
+    return (Instruction(opcode, target=_value(ops[0], symbols, line),
+                        addr=addr),)
+
+
+def _call(opcode, ops, symbols, line, addr):
+    """``jal L``, ``call L``: link in ``ra``."""
+    return (Instruction(opcode, rd=LINK_REG,
+                        target=_value(ops[0], symbols, line), addr=addr),)
+
+
+def _jal(opcode, ops, symbols, line, addr):
+    return (Instruction(opcode, rd=_reg(ops[0], line),
+                        target=_value(ops[1], symbols, line), addr=addr),)
+
+
+def _jalr(opcode, ops, symbols, line, addr):
+    """``jalr rs1``: link in ``ra``."""
+    return (Instruction(opcode, rd=LINK_REG, rs1=_reg(ops[0], line),
+                        addr=addr),)
+
+
+def _wide(rd: int, value: int, line: int, addr: int):
+    """``lui``/``ori`` loading the 32-bit *value* into *rd*."""
+    if not 0 <= value < (1 << 32):
+        raise AssemblerError(f"li/la value {value} out of 32-bit range",
+                             line)
+    return (Instruction(Opcode.LUI, rd=rd, imm=value >> 16, addr=addr),
+            Instruction(Opcode.ORI, rd=rd, rs1=rd, imm=value & 0xFFFF,
+                        addr=addr + INSTRUCTION_BYTES))
+
+
+def _li(opcode, ops, symbols, line, addr):
+    """``li rd, N``: one ``addi`` when N fits 16 bits, else ``lui``/``ori``
+    (pass 1 sized it the same way)."""
+    rd = _reg(ops[0], line)
+    value = _parse_int(ops[1], line)
+    if IMM_MIN <= value <= IMM_MAX:
+        return (Instruction(Opcode.ADDI, rd=rd, rs1=0, imm=value, addr=addr),)
+    return _wide(rd, value, line, addr)
+
+
+def _la(opcode, ops, symbols, line, addr):
+    """``la rd, L``: always ``lui``/``ori``."""
+    return _wide(_reg(ops[0], line), _value(ops[1], symbols, line), line,
+                 addr)
+
+
+def _real(mnemonics: str, forms: Dict[int, Encoder]):
+    """Table rows of the real opcodes named in *mnemonics*."""
+    most = max(forms)
+    return {mnemonic: (MNEMONIC_TO_OPCODE[mnemonic], forms,
+                       f"{mnemonic} needs {most} operand(s), got {{}}")
+            for mnemonic in mnemonics.split()}
+
+
+def _pseudo(mnemonic: str, opcode: Opcode, count: int, encode: Encoder):
+    """The table row of a pseudo-instruction."""
+    plural = "s" if count > 1 else ""
+    return {mnemonic: (opcode, {count: encode},
+                       f"{mnemonic} needs {count} operand{plural}")}
+
+
+#: Mnemonic -> (opcode, operand count -> encoder, operand-count error):
+#: every real opcode and the seven pseudo-instructions (``li`` and
+#: ``la`` pick their opcodes themselves).
+ENCODERS = {
+    **_real("add sub and or xor sll srl sra slt sltu mul div rem "
+            "fadd fsub fmul fdiv", {3: _r3}),
+    **_real("addi slli srli slti", {3: _arith}),
+    **_real("andi ori xori", {3: _logical}),
+    **_real("lui", {2: _lui}),
+    **_real("fcvt", {2: _r2}),
+    **_real("ld fld", {2: _load}),
+    **_real("st fst", {2: _store}),
+    **_real("beq bne blt bge", {3: _branch}),
+    **_real("j", {1: _jump}),
+    **_real("jal", {1: _call, 2: _jal}),
+    **_real("jr out", {1: _source}),
+    **_real("jalr", {1: _jalr, 2: _r2}),
+    **_real("ret", {0: _ret}),
+    **_real("nop halt", {0: _bare}),
+    **_pseudo("li", Opcode.ADDI, 2, _li),
+    **_pseudo("la", Opcode.LUI, 2, _la),
+    **_pseudo("mv", Opcode.ADDI, 2, _r2),
+    **_pseudo("call", Opcode.JAL, 1, _call),
+    **_pseudo("b", Opcode.J, 1, _jump),
+    **_pseudo("bgt", Opcode.BLT, 3, _swapped),
+    **_pseudo("ble", Opcode.BGE, 3, _swapped),
+}
 
 
 class Assembler:
@@ -123,16 +314,15 @@ class Assembler:
 
         for lineno, raw in enumerate(source.splitlines(), start=1):
             line = raw.split("#")[0].split(";")[0].strip()
-            while line:
+            while ":" in line:
                 match = _LABEL_RE.match(line)
-                if match:
-                    label = match.group(1)
-                    if label in symbols:
-                        raise AssemblerError(f"duplicate label {label!r}", lineno)
-                    symbols[label] = text_addr if in_text else data_addr
-                    line = line[match.end():].strip()
-                    continue
-                break
+                if not match:
+                    break
+                label = match.group(1)
+                if label in symbols:
+                    raise AssemblerError(f"duplicate label {label!r}", lineno)
+                symbols[label] = text_addr if in_text else data_addr
+                line = line[match.end():].strip()
             if not line:
                 continue
 
@@ -141,7 +331,20 @@ class Assembler:
             rest = parts[1] if len(parts) > 1 else ""
             operands = [op.strip() for op in rest.split(",")] if rest else []
 
-            if mnemonic == ".text":
+            if not mnemonic.startswith("."):
+                if not in_text:
+                    raise AssemblerError("instruction in data segment", lineno)
+                statements.append((mnemonic, operands, lineno, text_addr))
+                size = 1
+                if mnemonic == "li":  # one addi, or lui + ori
+                    if len(operands) != 2:
+                        raise AssemblerError("li needs 2 operands", lineno)
+                    value = _parse_int(operands[1], lineno)
+                    size = 1 if IMM_MIN <= value <= IMM_MAX else 2
+                elif mnemonic == "la":  # always lui + ori
+                    size = 2
+                text_addr += size * INSTRUCTION_BYTES
+            elif mnemonic == ".text":
                 in_text = True
             elif mnemonic == ".data":
                 in_text = False
@@ -165,20 +368,11 @@ class Assembler:
                 if in_text:
                     raise AssemblerError(".align in text segment", lineno)
                 data_addr = (data_addr + boundary - 1) & ~(boundary - 1)
-            elif mnemonic.startswith("."):
-                raise AssemblerError(f"unknown directive {mnemonic!r}", lineno)
             else:
-                if not in_text:
-                    raise AssemblerError("instruction in data segment", lineno)
-                statements.append(_Statement(mnemonic, operands, lineno, text_addr))
-                text_addr += (_pseudo_size(mnemonic, operands, lineno)
-                              * INSTRUCTION_BYTES)
+                raise AssemblerError(f"unknown directive {mnemonic!r}", lineno)
 
         for addr, token, lineno in data_tokens:
-            if token in symbols:
-                data[addr] = symbols[token]
-            else:
-                data[addr] = _parse_int(token, lineno)
+            data[addr] = _value(token, symbols, lineno)
         return statements, symbols, data, data_addr - self.data_base
 
     # -- pass 2: encode ------------------------------------------------------
@@ -186,210 +380,16 @@ class Assembler:
     def _pass2(self, statements: List[_Statement],
                symbols: Dict[str, int]) -> List[Instruction]:
         instructions: List[Instruction] = []
-        for stmt in statements:
-            for inst in self._encode(stmt, symbols):
-                instructions.append(inst)
+        for mnemonic, operands, line, addr in statements:
+            row = ENCODERS.get(mnemonic)
+            if row is None:
+                raise AssemblerError(f"unknown mnemonic {mnemonic!r}", line)
+            opcode, forms, needs = row
+            encode = forms.get(len(operands))
+            if encode is None:
+                raise AssemblerError(needs.format(len(operands)), line)
+            instructions += encode(opcode, operands, symbols, line, addr)
         return instructions
-
-    def _resolve(self, token: str, symbols: Dict[str, int], line: int) -> int:
-        """Resolve a label or integer literal to a value."""
-        if token in symbols:
-            return symbols[token]
-        return _parse_int(token, line)
-
-    def _reg(self, token: str, line: int) -> int:
-        try:
-            return parse_reg(token)
-        except ValueError as exc:
-            raise AssemblerError(str(exc), line) from None
-
-    def _imm(self, token: str, symbols: Dict[str, int], line: int) -> int:
-        value = self._resolve(token, symbols, line)
-        if not IMM_MIN <= value <= IMM_MAX:
-            raise AssemblerError(
-                f"immediate {value} out of 16-bit range (use li/la)", line)
-        return value
-
-    def _imm_logical(self, token: str, symbols: Dict[str, int],
-                     line: int) -> int:
-        """Logical immediates (andi/ori/xori) are zero-extended 16-bit."""
-        value = self._resolve(token, symbols, line)
-        if not 0 <= value <= 0xFFFF:
-            raise AssemblerError(
-                f"logical immediate {value} out of 0..65535 range", line)
-        return value
-
-    def _encode(self, stmt: _Statement,
-                symbols: Dict[str, int]) -> List[Instruction]:
-        m, ops, line, addr = stmt.mnemonic, stmt.operands, stmt.line, stmt.addr
-        expanded = self._expand_pseudo(m, ops, symbols, line)
-        if expanded is not None:
-            placed = []
-            for i, inst in enumerate(expanded):
-                placed.append(Instruction(
-                    opcode=inst.opcode, rd=inst.rd, rs1=inst.rs1,
-                    rs2=inst.rs2, imm=inst.imm, target=inst.target,
-                    addr=addr + i * INSTRUCTION_BYTES))
-            return placed
-
-        opcode = MNEMONIC_TO_OPCODE.get(m)
-        if opcode is None:
-            raise AssemblerError(f"unknown mnemonic {m!r}", line)
-
-        def need(n: int) -> None:
-            if len(ops) != n:
-                raise AssemblerError(
-                    f"{m} needs {n} operand(s), got {len(ops)}", line)
-
-        cls = opcode.op_class
-        if opcode in (Opcode.NOP, Opcode.HALT):
-            need(0)
-            return [Instruction(opcode, addr=addr)]
-        if opcode is Opcode.RET:
-            need(0)
-            return [Instruction(opcode, rs1=LINK_REG, addr=addr)]
-        if opcode is Opcode.OUT:
-            need(1)
-            return [Instruction(opcode, rs1=self._reg(ops[0], line), addr=addr)]
-        if opcode is Opcode.LUI:
-            need(2)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                imm=self._resolve(ops[1], symbols, line),
-                                addr=addr)]
-        if opcode in (Opcode.ANDI, Opcode.ORI, Opcode.XORI):
-            need(3)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line),
-                                imm=self._imm_logical(ops[2], symbols,
-                                                      line),
-                                addr=addr)]
-        if opcode in (Opcode.ADDI, Opcode.SLLI, Opcode.SRLI, Opcode.SLTI):
-            need(3)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line),
-                                imm=self._imm(ops[2], symbols, line),
-                                addr=addr)]
-        if cls in (OpClass.IALU, OpClass.IMUL, OpClass.IDIV,
-                   OpClass.FADD, OpClass.FMUL) and opcode is not Opcode.FCVT:
-            need(3)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line),
-                                rs2=self._reg(ops[2], line), addr=addr)]
-        if opcode is Opcode.FCVT:
-            need(2)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line), addr=addr)]
-        if cls is OpClass.LOAD:
-            need(2)
-            base, offset = self._mem_operand(ops[1], symbols, line)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=base, imm=offset, addr=addr)]
-        if cls is OpClass.STORE:
-            need(2)
-            base, offset = self._mem_operand(ops[1], symbols, line)
-            return [Instruction(opcode, rs1=base,
-                                rs2=self._reg(ops[0], line),
-                                imm=offset, addr=addr)]
-        if cls is OpClass.BRANCH:
-            need(3)
-            return [Instruction(opcode, rs1=self._reg(ops[0], line),
-                                rs2=self._reg(ops[1], line),
-                                target=self._resolve(ops[2], symbols, line),
-                                addr=addr)]
-        if opcode is Opcode.J:
-            need(1)
-            return [Instruction(opcode,
-                                target=self._resolve(ops[0], symbols, line),
-                                addr=addr)]
-        if opcode is Opcode.JAL:
-            if len(ops) == 1:
-                return [Instruction(opcode, rd=LINK_REG,
-                                    target=self._resolve(ops[0], symbols, line),
-                                    addr=addr)]
-            need(2)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                target=self._resolve(ops[1], symbols, line),
-                                addr=addr)]
-        if opcode is Opcode.JR:
-            need(1)
-            return [Instruction(opcode, rs1=self._reg(ops[0], line), addr=addr)]
-        if opcode is Opcode.JALR:
-            if len(ops) == 1:
-                return [Instruction(opcode, rd=LINK_REG,
-                                    rs1=self._reg(ops[0], line), addr=addr)]
-            need(2)
-            return [Instruction(opcode, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line), addr=addr)]
-        raise AssemblerError(f"cannot encode {m!r}", line)  # pragma: no cover
-
-    def _mem_operand(self, token: str, symbols: Dict[str, int],
-                     line: int) -> Tuple[int, int]:
-        """Parse ``imm(reg)`` memory operands."""
-        match = _MEM_OPERAND_RE.match(token.replace(" ", ""))
-        if not match:
-            raise AssemblerError(f"bad memory operand {token!r}", line)
-        offset_text, reg_text = match.groups()
-        offset = self._resolve(offset_text, symbols, line)
-        if not IMM_MIN <= offset <= IMM_MAX:
-            raise AssemblerError(f"memory offset {offset} out of range", line)
-        return self._reg(reg_text, line), offset
-
-    def _expand_pseudo(self, m: str, ops: List[str],
-                       symbols: Dict[str, int],
-                       line: int) -> Optional[List[Instruction]]:
-        """Expand pseudo-instructions; return None for real opcodes."""
-        if m == "li":
-            if len(ops) != 2:
-                raise AssemblerError("li needs 2 operands", line)
-            rd = self._reg(ops[0], line)
-            value = _parse_int(ops[1], line)
-            return self._materialise(rd, value, line)
-        if m == "la":
-            if len(ops) != 2:
-                raise AssemblerError("la needs 2 operands", line)
-            rd = self._reg(ops[0], line)
-            value = self._resolve(ops[1], symbols, line)
-            return self._materialise(rd, value, line, force_wide=True)
-        if m == "mv":
-            if len(ops) != 2:
-                raise AssemblerError("mv needs 2 operands", line)
-            return [Instruction(Opcode.ADDI, rd=self._reg(ops[0], line),
-                                rs1=self._reg(ops[1], line), imm=0)]
-        if m == "call":
-            if len(ops) != 1:
-                raise AssemblerError("call needs 1 operand", line)
-            return [Instruction(Opcode.JAL, rd=LINK_REG,
-                                target=self._resolve(ops[0], symbols, line))]
-        if m == "b":
-            if len(ops) != 1:
-                raise AssemblerError("b needs 1 operand", line)
-            return [Instruction(Opcode.J,
-                                target=self._resolve(ops[0], symbols, line))]
-        if m == "bgt":  # bgt a, b, L  ==  blt b, a, L
-            if len(ops) != 3:
-                raise AssemblerError("bgt needs 3 operands", line)
-            return [Instruction(Opcode.BLT, rs1=self._reg(ops[1], line),
-                                rs2=self._reg(ops[0], line),
-                                target=self._resolve(ops[2], symbols, line))]
-        if m == "ble":  # ble a, b, L  ==  bge b, a, L
-            if len(ops) != 3:
-                raise AssemblerError("ble needs 3 operands", line)
-            return [Instruction(Opcode.BGE, rs1=self._reg(ops[1], line),
-                                rs2=self._reg(ops[0], line),
-                                target=self._resolve(ops[2], symbols, line))]
-        return None
-
-    def _materialise(self, rd: int, value: int, line: int,
-                     force_wide: bool = False) -> List[Instruction]:
-        """Emit instructions that load *value* into *rd*."""
-        if not force_wide and IMM_MIN <= value <= IMM_MAX:
-            return [Instruction(Opcode.ADDI, rd=rd, rs1=0, imm=value)]
-        if not 0 <= value < (1 << 32):
-            raise AssemblerError(f"li/la value {value} out of 32-bit range",
-                                 line)
-        high, low = value >> 16, value & 0xFFFF
-        return [Instruction(Opcode.LUI, rd=rd, imm=high),
-                Instruction(Opcode.ORI, rd=rd, rs1=rd, imm=low)]
 
 
 def assemble(source: str, name: str = "program", **kwargs) -> Program:

@@ -159,7 +159,7 @@ class Opcode(enum.Enum):
 MNEMONIC_TO_OPCODE = {op.mnemonic: op for op in Opcode}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instruction:
     """A single static instruction.
 
@@ -170,8 +170,8 @@ class Instruction:
     assembled/linked.
 
     Classification (``op_class``, ``is_control``, ``is_load``, ...) and
-    dataflow (``src_regs()``/``dest_reg()``) are **precomputed once** in
-    ``__post_init__`` and stored as plain attributes: the timing model
+    dataflow (``src_regs()``/``dest_reg()``) are **precomputed once** by
+    the constructor and stored as plain attributes: the timing model
     consults them millions of times per simulation, and attribute loads
     are several times cheaper than property dispatch plus enum-membership
     hashing on that path.
@@ -186,50 +186,45 @@ class Instruction:
     #: Address the instruction was placed at; filled in by the assembler.
     addr: int = field(default=-1, compare=False)
 
-    # Precomputed classification (plain attributes, not dataclass fields:
-    # they are derived from ``opcode`` and must not affect eq/hash/repr).
-    op_class: OpClass = field(init=False, repr=False, compare=False,
-                              default=None)
-    is_control: bool = field(init=False, repr=False, compare=False,
-                             default=False)
-    is_cond_branch: bool = field(init=False, repr=False, compare=False,
-                                 default=False)
-    is_indirect: bool = field(init=False, repr=False, compare=False,
-                              default=False)
-    is_call: bool = field(init=False, repr=False, compare=False,
-                          default=False)
-    is_return: bool = field(init=False, repr=False, compare=False,
-                            default=False)
-    is_nop: bool = field(init=False, repr=False, compare=False,
-                         default=False)
-    is_halt: bool = field(init=False, repr=False, compare=False,
-                          default=False)
-    is_load: bool = field(init=False, repr=False, compare=False,
-                          default=False)
-    is_store: bool = field(init=False, repr=False, compare=False,
-                           default=False)
-    is_mem: bool = field(init=False, repr=False, compare=False,
-                         default=False)
-
-    def __post_init__(self) -> None:
-        # The instance dict is written directly (the dataclass is
-        # frozen), the classification in one update from the opcode's
-        # precomputed row.  Keys land in the order of the fields above:
-        # pickled programs and stream bundles depend on it.
-        attrs = self.__dict__
-        classification = self.opcode.classification
-        attrs.update(classification)
-        rs1, rs2 = self.rs1, self.rs2
+    def __init__(self, opcode: Opcode, rd: Optional[int] = None,
+                 rs1: Optional[int] = None, rs2: Optional[int] = None,
+                 imm: int = 0, target: Optional[int] = None,
+                 addr: int = -1) -> None:
+        # The instance is frozen, so its dict is filled directly, in one
+        # pass and in a fixed key order: the seven fields above, the
+        # opcode's classification row (``Opcode.classification``), then
+        # ``_srcs`` and ``_dest``.  Keys stored one by one in the same
+        # order every time keep the dict sharing its keys with every
+        # other instruction's (merging a fresh dict in would give each
+        # its own key table: 43 % more memory for the gcc program);
+        # pickled programs and the program digests depend on the order
+        # too.
+        classification = opcode.classification
         if rs1 is None:
             srcs = () if rs2 is None else (rs2,)
         else:
             srcs = (rs1,) if rs2 is None else (rs1, rs2)
         if classification["is_return"]:
             srcs += (LINK_REG,)
+        attrs = self.__dict__
+        attrs["opcode"] = opcode
+        attrs["rd"] = rd
+        attrs["rs1"] = rs1
+        attrs["rs2"] = rs2
+        attrs["imm"] = imm
+        attrs["target"] = target
+        attrs["addr"] = addr
+        attrs.update(classification)
         attrs["_srcs"] = srcs
-        rd = self.rd
         attrs["_dest"] = (LINK_REG if rd is None and classification["is_call"]
                           else rd)
+
+    def __reduce__(self):
+        # Pickled as its constructor arguments: a program loaded from a
+        # stream bundle is rebuilt through ``__init__``, like an
+        # assembled one.
+        return (Instruction, (self.opcode, self.rd, self.rs1, self.rs2,
+                              self.imm, self.target, self.addr))
 
     # -- dataflow --------------------------------------------------------
 

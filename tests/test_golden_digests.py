@@ -20,6 +20,10 @@ A model change that moves a counter fails here.  When the move is
 intended, re-bless the table and review its diff::
 
     PYTHONPATH=src python tests/test_golden_digests.py
+
+The module imports no pytest (its cases are parametrized by
+:func:`pytest_generate_tests`), so the table can be re-blessed and
+diffed on any Python.
 """
 
 import dataclasses
@@ -32,8 +36,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from repro import frontend_config, run_simulation
 from repro.checkpoint import CHECKPOINT_DIR_ENV
 from repro.config import ENV_KNOBS, PAPER_CONFIGS, ObservabilityConfig
@@ -43,8 +45,6 @@ from repro.perf.cosim import run_cosim
 from repro.sampling import SamplingConfig
 
 TABLE = Path(__file__).with_name("golden_digests.json")
-
-pytestmark = pytest.mark.usefixtures("hermetic_env")
 
 LENGTH = 3000
 SAMPLED_LENGTH = 12_000
@@ -143,17 +143,23 @@ COSIM_TWINS = {
 }
 
 
-def test_table_covers_every_case():
+def pytest_generate_tests(metafunc):
+    """Parametrize ``case`` over the table its test checks."""
+    if "case" in metafunc.fixturenames:
+        cases = (COSIM_TWINS if metafunc.function is
+                 test_cosim_member_equals_serial_run else CASES)
+        metafunc.parametrize("case", sorted(cases))
+
+
+def test_table_covers_every_case(hermetic_env):
     assert sorted(_table()) == sorted(CASES)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_digest_matches_table(case):
+def test_digest_matches_table(hermetic_env, case):
     assert digest(CASES[case]()) == expected(case)
 
 
-@pytest.mark.parametrize("case", sorted(COSIM_TWINS))
-def test_cosim_member_equals_serial_run(case):
+def test_cosim_member_equals_serial_run(hermetic_env, case):
     assert expected(case) == expected(COSIM_TWINS[case])
 
 
@@ -162,7 +168,7 @@ KILLED_RUN = ("import repro\n"
               f"max_instructions={LENGTH}, checkpoint_every=1000)")
 
 
-def test_killed_and_resumed_run_matches_table():
+def test_killed_and_resumed_run_matches_table(hermetic_env):
     """A run killed right after a durable checkpoint and resumed in
     this process ends exactly where the uninterrupted run does."""
     env = dict(os.environ, **{FAULTS_ENV: "kill_mid_unit attempts=*"})

@@ -19,7 +19,9 @@ Five concerns:
   acceptance bound; see docs/PERFORMANCE.md).
 """
 
+import copyreg
 import gc
+import io
 import json
 import os
 import pickle
@@ -35,11 +37,13 @@ from repro.core.warming import WarmingState, cache_touches, warm_processor
 from repro.emulator.machine import Machine
 from repro.errors import ReproError, SimulationError
 from repro.experiments.runner import SweepJob, run_job
+from repro.isa.instructions import Instruction
 from repro.sampling import SamplingConfig, clear_prep_caches
 from repro.sampling import engine as sampling_engine
 from repro.sampling import prep
 from repro.sampling.engine import resolve_sampling
 from repro.workloads import suite
+from tests.test_stream_digests import program_digest
 
 #: The accuracy harness scale: 8x the default experiment length, where
 #: sampling has enough measured units for the CLT bound to mean something.
@@ -120,6 +124,24 @@ def _wrong_shape(bundle):
 def _ragged_columns(bundle):
     program, packed = pickle.loads(bundle.read_bytes())
     return pickle.dumps((program, packed._replace(taken=packed.taken[:-1])))
+
+
+class _StatePickler(pickle.Pickler):
+    """Pickles an :class:`Instruction` as a bare object plus its
+    instance dict, the form bundles stored before ``Instruction`` pickled
+    as its constructor arguments."""
+
+    def reducer_override(self, obj):
+        if type(obj) is Instruction:
+            return copyreg.__newobj__, (Instruction,), dict(obj.__dict__)
+        return NotImplemented
+
+
+def _former_format(bundle):
+    buffer = io.BytesIO()
+    _StatePickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(
+        pickle.loads(bundle.read_bytes()))
+    return buffer.getvalue()
 
 
 def _pc_outside_text(bundle):
@@ -270,6 +292,33 @@ class TestPrepCache:
         assert _fields(result) == _fields(first)
         assert all(r.inst is program.inst_at(r.pc) for r in result.stream)
 
+        clear_prep_caches()
+        suite.clear_caches()
+
+    def test_bundle_in_the_former_instruction_format_loads(
+            self, tmp_path, monkeypatch):
+        """Bundles written before ``Instruction`` pickled as its
+        constructor arguments load to the same program and stream, so
+        ``STREAM_CACHE_VERSION`` needs no bump."""
+        monkeypatch.setenv(prep.CACHE_DIR_ENV, str(tmp_path))
+        clear_prep_caches()
+        suite.clear_caches()
+        fresh, first, _ = prep.get_oracle("gzip", 2000)
+        bundle = _bundles(tmp_path, "gzip")[0]
+        former = _former_format(bundle)
+        assert len(former) > 2 * bundle.stat().st_size
+        bundle.write_bytes(former)
+
+        clear_prep_caches()
+        suite.clear_caches()
+        before = prep.PREP_STATS.get("prep.stream_corrupt")
+        with monkeypatch.context() as patch:
+            _forbid_emulation(patch)
+            program, result, _ = prep.get_oracle("gzip", 2000)
+        assert prep.PREP_STATS.get("prep.stream_corrupt") == before
+        assert program_digest(program) == program_digest(fresh)
+        assert _fields(result) == _fields(first)
+        assert all(r.inst is program.inst_at(r.pc) for r in result.stream)
         clear_prep_caches()
         suite.clear_caches()
 

@@ -25,6 +25,7 @@ import enum
 import functools
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 from repro.emulator.machine import Machine
@@ -102,6 +103,16 @@ def test_table_covers_the_suite():
 
 def test_program_digests_match_table():
     assert _computed("program") == _committed("program")
+
+
+def test_pickled_programs_match_table():
+    """A program pickled as a stream bundle stores it loads back to the
+    same digest."""
+    with gc_paused():
+        loaded = {name: program_digest(pickle.loads(pickle.dumps(
+            suite.get_benchmark(name), protocol=pickle.HIGHEST_PROTOCOL)))
+            for name in suite.BENCHMARK_NAMES}
+    assert loaded == _committed("program")
 
 
 def test_stream_digests_match_table():

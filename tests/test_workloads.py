@@ -1,10 +1,13 @@
 """Tests for the synthetic workload generator and the benchmark suite."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from repro.config import FragmentConfig
 from repro.emulator.machine import Machine
-from repro.errors import ConfigError, ReproError
+from repro.errors import AssemblerError, ConfigError, ReproError
 from repro.workloads.characteristics import WorkloadSpec
 from repro.workloads.generator import ProgramGenerator, generate_program
 from repro.workloads.suite import (
@@ -16,6 +19,7 @@ from repro.workloads.suite import (
     get_spec,
     oracle_stream,
 )
+from tests.test_run_modes import unreachable_after
 
 SMALL_SPEC = WorkloadSpec(name="tiny", seed=42, num_functions=8,
                           hot_functions=4)
@@ -72,6 +76,41 @@ class TestGenerator:
         a = Machine(program).run(5000).stream
         b = Machine(program).run(5000).stream
         assert [(r.pc, r.taken) for r in a] == [(r.pc, r.taken) for r in b]
+
+    @pytest.mark.parametrize("name", ["gzip", "gcc"])
+    def test_generation_leaves_no_reference_cycle(self, name):
+        """Reference counting frees a generated program and everything
+        built on the way: the invariant that lets ``generate_program``
+        pause the cyclic collector."""
+        def generate_and_drop():
+            generate_program(get_spec(name))
+
+        _, unreachable = unreachable_after(generate_and_drop)
+        assert unreachable == Counter()
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["gc-on", "gc-off"])
+    def test_collector_state_is_restored(self, monkeypatch, enabled):
+        """Assembly runs with the collector paused and leaves the
+        caller's state behind it, also when the source does not
+        assemble."""
+        seen = []
+
+        def bad_source(generator):
+            seen.append(gc.isenabled())
+            return "main:\n    bogus t0"
+
+        monkeypatch.setattr(ProgramGenerator, "generate_source", bad_source)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(AssemblerError, match="line 2: unknown "
+                                                     "mnemonic 'bogus'"):
+                generate_program(SMALL_SPEC)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False]
 
 
 class TestSuite:
