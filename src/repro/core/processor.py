@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.config import ProcessorConfig
 from repro.core.invariants import InvariantChecker, PipelineWatchdog
-from repro.core.uop import DecodeCache, MicroOp, PlaceholderProducer, UopState
+from repro.core.uop import MicroOp, PlaceholderProducer, UopState
 from repro.perf.soa import SharedStream, SoAState
 from repro.backend.core import OutOfOrderCore
 from repro.emulator.stream import DynamicInstruction
@@ -110,10 +110,19 @@ class Processor:
                 f" instructions but fragments may reach "
                 f"{config.fragment.max_length}")
 
-        # NOPs are eliminated before they reach any pipeline statistic.
-        self._oracle = [r for r in oracle if not r.inst.is_nop]
+        # The stream's config-independent state (NOP-free oracle, decode
+        # cache, fragment metadata, walk memos): one per co-sim group
+        # (repro.perf.cosim), else this processor's own.  Kept across
+        # restart_at, so sampled windows start with warm memos.
+        if shared is None:
+            shared = SharedStream(oracle)
+        elif shared.stream_length != len(oracle):
+            raise SimulationError(
+                "shared stream does not match this oracle stream")
+        self._oracle = shared.oracle
         if not self._oracle:
             raise SimulationError("empty oracle stream")
+        self._walk_memos = shared.walk_memos(config.fragment)
 
         self.memory = MemoryHierarchy(config.memory, self.stats)
         self.trace_predictor = TracePredictor(config.trace_predictor,
@@ -125,7 +134,8 @@ class Processor:
         self.control = FrontEndControl(program, config.fragment,
                                        self.trace_predictor, self.ras,
                                        self.stats, self._oracle[0].pc,
-                                       direction_fallback=self.bimodal.predict)
+                                       direction_fallback=self.bimodal.predict,
+                                       memos=self._walk_memos)
         self.buffers = FragmentBufferArray(
             config.frontend.num_fragment_buffers, self.stats)
         self.trace_cache: Optional[TraceCache] = None
@@ -135,21 +145,9 @@ class Processor:
         #: Decoded-uop cache (recurring fragments reuse one immutable
         #: :class:`~repro.core.uop.DecodedUop` per static instruction) and
         #: the batched state (flat oracle PCs plus per-static-fragment
-        #: metadata).  Co-simulation (repro.perf.cosim) injects one
-        #: SharedStream per stream group: both structures are pure per
-        #: (stream, fragment config), so sibling processors on the same
-        #: stream share them without perturbing result identity.
-        if shared is not None:
-            if len(shared.oracle_pcs) != len(self._oracle):
-                raise SimulationError(
-                    "shared stream does not match this oracle stream")
-            self.decode_cache = shared.decode_cache
-            self._soa = SoAState(self._oracle, self.decode_cache,
-                                 oracle_pcs=shared.oracle_pcs,
-                                 meta=shared.meta_for(config.fragment))
-        else:
-            self.decode_cache = DecodeCache()
-            self._soa = SoAState(self._oracle, self.decode_cache)
+        #: metadata), both the shared stream's.
+        self.decode_cache = shared.decode_cache
+        self._soa = SoAState(shared, config.fragment)
         #: The cycle phases in reverse pipeline order (names in
         #: :data:`PHASE_NAMES`): :meth:`step` runs them, the profiled
         #: loop times them.  Plain functions called with the processor:
@@ -320,7 +318,8 @@ class Processor:
         buffers, fill engine, out-of-order core, renamer, RAS and
         front-end control — while deliberately keeping everything a long
         functional fast-forward would have left warm: predictors, caches,
-        the trace cache and the decode cache.  ``self.now`` is not reset;
+        the trace cache, and the stream's decode cache, fragment
+        metadata and walk memos.  ``self.now`` is not reset;
         callers measure cycle deltas.
         """
         if not 0 <= index < len(self._oracle):
@@ -345,7 +344,8 @@ class Processor:
         self.control = FrontEndControl(
             self.program, self.config.fragment, self.trace_predictor,
             self.ras, self.stats, self._oracle[index].pc,
-            direction_fallback=self.bimodal.predict)
+            direction_fallback=self.bimodal.predict,
+            memos=self._walk_memos)
         self.engine = self._build_engine()
         self.core = OutOfOrderCore(self.config.backend, self.memory,
                                    self.stats)

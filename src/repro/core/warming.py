@@ -234,25 +234,27 @@ def cache_touches(records: Iterable[DynamicInstruction],
 
 def warm_donor_group(donors: Sequence,
                      stream: Sequence[DynamicInstruction]) -> None:
-    """Warm every donor in *donors* with one pass over *stream*.
+    """Train every structure the *donors* hold, each once, on *stream*.
 
-    The co-simulation path's warming amortization: N warm-snapshot
-    builds over the same stream share the stream walk, fragment carving
-    and live-out computation, which depend only on the stream and the
-    (shared) fragment config — never on the donor.  Each donor's own
-    structures (bimodal counters, predictor tables, cache LRU state,
-    trace cache) observe exactly the update sequence a solo
-    :func:`warm_processor` pass would apply, so the end state is
-    bit-identical per donor (asserted by the parity tests).  A donor
-    is a warm snapshot's structures without a pipeline
-    (:mod:`repro.sampling.prep`): ``config``, ``stats``, ``bimodal``,
-    ``trace_predictor``, ``liveout_predictor``, ``memory`` and
-    ``trace_cache``.
+    The warm-snapshot training path (:mod:`repro.sampling.prep`): the
+    cache touches, fragment carving and live-out computation depend only
+    on the stream and the (shared) fragment config — never on a
+    donor — so every structure a group of warm configs needs trains in
+    one walk of the stream.  A donor exposes ``config``, ``stats`` and
+    the structures still to train: ``bimodal``, ``trace_predictor``,
+    ``liveout_predictor``, ``l1i``, ``l1d``, ``l2`` and ``trace_cache``,
+    each None when that role needs no training.  A structure several
+    donors hold trains once, and observes exactly the update sequence a
+    solo :func:`warm_processor` pass would apply, so its end state is
+    bit-identical (asserted by the parity tests).  The walk is two
+    loops, each skipped when nothing needs it: the cache touches, then
+    branch training and carving (no structure's updates depend on
+    another's, so the two need not interleave).
 
     All donors must share one :class:`~repro.config.FragmentConfig`;
     callers group by it (:func:`repro.sampling.prep.warm_group_snapshots`).
-    Like :meth:`WarmingState.finish`, this resets each donor's stats and
-    speculative history afterwards.
+    Like :meth:`WarmingState.finish`, this resets the donors' stats and
+    every trained predictor's speculative history afterwards.
     """
     if not donors:
         return
@@ -262,59 +264,71 @@ def warm_donor_group(donors: Sequence,
             raise ValueError(
                 "warm_donor_group requires one shared fragment config")
 
-    def train_group(fragment: DynamicFragment) -> None:
-        liveouts = compute_liveouts([r.inst for r in fragment.records])
+    def distinct(role: str) -> list:
+        found = {}
         for donor in donors:
-            donor.trace_predictor.train(fragment.key)
-            donor.liveout_predictor.train(fragment.key, liveouts)
-            if donor.trace_cache is not None:
-                donor.trace_cache.insert(fragment.key)
+            structure = getattr(donor, role)
+            if structure is not None:
+                found[id(structure)] = structure
+        return list(found.values())
 
-    memories = [donor.memory for donor in donors]
-    bimodals = [donor.bimodal for donor in donors]
-    records: List[DynamicInstruction] = []
-    directions: List[bool] = []
-    seen_line = -1
-    for record in stream:
-        line = record.pc >> 6
-        if line != seen_line:
-            for memory in memories:
-                memory.l2.fill(record.pc)
-                memory.l1i.fill(record.pc)
-            seen_line = line
-        if record.ea is not None:
-            for memory in memories:
-                memory.l2.fill(record.ea)
-                memory.l1d.fill(record.ea)
+    bimodal_trains = [b.train for b in distinct("bimodal")]
+    predictors = distinct("trace_predictor")
+    liveouts = distinct("liveout_predictor")
+    trace_caches = distinct("trace_cache")
+    l2_fills = [cache.fill for cache in distinct("l2")]
+    inst_fills = l2_fills + [cache.fill for cache in distinct("l1i")]
+    data_fills = l2_fills + [cache.fill for cache in distinct("l1d")]
+    carve = bool(predictors or liveouts or trace_caches)
 
-        inst = record.inst
-        if inst.is_nop:
-            continue
-        if inst.is_cond_branch:
-            for bimodal in bimodals:
-                bimodal.train(record.pc, record.taken)
-            directions.append(record.taken)
+    def train(key: FragmentKey, records: List[DynamicInstruction]) -> None:
+        for predictor in predictors:
+            predictor.train(key)
+        if liveouts:
+            info = compute_liveouts([r.inst for r in records])
+            for liveout in liveouts:
+                liveout.train(key, info)
+        for trace_cache in trace_caches:
+            trace_cache.insert(key)
 
-        records.append(record)
-        reason = should_terminate(inst, len(records), config)
-        if reason is not None:
-            key = FragmentKey(records[0].pc, tuple(directions))
-            next_pc = (None if reason in (TerminationReason.INDIRECT,
-                                          TerminationReason.HALT)
-                       else record.next_pc)
-            train_group(DynamicFragment(key, records, reason, next_pc))
-            records = []
-            directions = []
+    if inst_fills or data_fills:
+        seen_line = -1
+        for record in stream:
+            line = record.pc >> 6
+            if line != seen_line:
+                for fill in inst_fills:
+                    fill(record.pc)
+                seen_line = line
+            if data_fills and record.ea is not None:
+                for fill in data_fills:
+                    fill(record.ea)
 
-    if records:
-        key = FragmentKey(records[0].pc, tuple(directions))
-        train_group(DynamicFragment(key, records,
-                                    TerminationReason.STREAM_END,
-                                    records[-1].next_pc))
+    if bimodal_trains or carve:
+        records: List[DynamicInstruction] = []
+        directions: List[bool] = []
+        for record in stream:
+            inst = record.inst
+            if inst.is_nop:
+                continue
+            if inst.is_cond_branch:
+                for bimodal_train in bimodal_trains:
+                    bimodal_train(record.pc, record.taken)
+                if carve:
+                    directions.append(record.taken)
+            if carve:
+                records.append(record)
+                if should_terminate(inst, len(records), config) is not None:
+                    train(FragmentKey(records[0].pc, tuple(directions)),
+                          records)
+                    records = []
+                    directions = []
+        if records:
+            train(FragmentKey(records[0].pc, tuple(directions)), records)
 
-    for donor in donors:
-        donor.stats.reset()
-        donor.trace_predictor.restore_history(())
+    for stats in {id(donor.stats): donor.stats for donor in donors}.values():
+        stats.reset()
+    for predictor in predictors:
+        predictor.restore_history(())
 
 
 def warm_processor(processor: "Processor",

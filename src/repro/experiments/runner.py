@@ -20,7 +20,8 @@ machinery the rest of :mod:`repro.experiments` runs on:
   default (``REPRO_SWEEP_GROUP=0`` disables, ``group_streams=``
   overrides), so each group pays stream emulation and warm-snapshot
   training once instead of once per scattered worker, and co-simulates
-  its eligible jobs over one shared stream;
+  its eligible jobs over one shared stream.  Each group runs in a fresh
+  worker process, so a worker holds one stream at a time;
 * :func:`run_job` — the single-job path (disk cache + execute) that the
   in-process memo in :mod:`repro.experiments.common` layers on top of.
 
@@ -712,15 +713,24 @@ def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]]
     return outcomes, group_stats
 
 
-def _make_pool(workers: int) -> Optional[multiprocessing.pool.Pool]:
+def _make_pool(workers: int, keep_workers: bool = False
+               ) -> Optional[multiprocessing.pool.Pool]:
     """A worker pool, or None when multiprocessing is unavailable.
+
+    Each task runs in a fresh worker process unless *keep_workers*.  A
+    grouped sweep's task is a whole stream group, and a worker that
+    exits after its group frees everything the group loaded — program,
+    stream, trained warm structures — with no teardown code.  Scattered
+    sweeps and :func:`parallel_map` keep their workers, so consecutive
+    tasks on one stream share a worker's caches.
 
     Pool creation fails on platforms without working semaphores/fork
     support (``ImportError``/``OSError``); the sweep then degrades to
     serial in-process execution instead of crashing.
     """
     try:
-        return multiprocessing.Pool(workers)
+        return multiprocessing.Pool(
+            workers, maxtasksperchild=None if keep_workers else 1)
     except (ImportError, OSError, ValueError):
         return None
 
@@ -736,7 +746,7 @@ def _attempt(job: SweepJob, attempt: int,
     or ``("timeout", "TimeoutError", message)``.
     """
     if timeout is not None:
-        pool = _make_pool(1)
+        pool = _make_pool(1, keep_workers=True)
         if pool is not None:
             with pool:  # __exit__ terminates: a hung worker dies here
                 try:
@@ -889,6 +899,10 @@ class SweepReport:
                 f"gap_insts={int(stats.get('sweep.cosim_gap_insts_shared'))} "
                 f"warm_trains_saved="
                 f"{int(stats.get('prep.snapshot_group_shared'))}")
+            lines.append(
+                f"warm trains   "
+                f"digests={int(stats.get('prep.snapshot_trains'))} "
+                f"structures={int(stats.get('prep.structure_trains'))}")
         if stats.get("sweep.degraded"):
             lines.append("degraded      serial (multiprocessing unavailable)")
         for failure in self.failures.values():
@@ -961,7 +975,9 @@ def run_sweep(jobs: Sequence[SweepJob],
     on unless set falsy), so the group pays stream emulation and
     warm-snapshot training once; the per-benchmark prep caches
     (:mod:`repro.sampling.prep`) are process-local, and scattering
-    stream-siblings across workers rebuilds them per worker.  Grouping
+    stream-siblings across workers rebuilds them per worker.  Each group
+    runs in a fresh worker process, which exits with everything the
+    group loaded; scattered sweeps keep their workers.  Grouping
     never changes results — only worker placement — and the merge stays
     in submission order, so grouped and ungrouped sweeps produce
     identical reports (the test suite asserts this).  Group sizes are
@@ -1102,7 +1118,11 @@ def run_sweep(jobs: Sequence[SweepJob],
                 retry_queue.append(job)
 
     if pending:
-        pool = _make_pool(workers) if workers > 1 else None
+        pool = None
+        if workers > 1:
+            # Grouped: one fresh worker per stream group (_make_pool).
+            pool = (_make_pool(workers) if group_streams
+                    else _make_pool(workers, keep_workers=True))
         if workers > 1 and pool is None:
             stats.set("sweep.degraded", 1)
         if pool is None:
@@ -1134,6 +1154,9 @@ def run_sweep(jobs: Sequence[SweepJob],
                      pool.apply_async(_pool_group_task,
                                       ([(job, 0) for job in group],)))
                     for group in groups]
+                # No more tasks: a worker that exits after the last
+                # pending task is not replaced.
+                pool.close()
                 for group, handle in handles:
                     for job in group:
                         attempts[job] = 1
@@ -1229,7 +1252,7 @@ def parallel_map(fn: Callable, items: Sequence,
     items = list(items)
     workers = workers if workers is not None else default_workers()
     workers = max(1, min(workers, len(items)) if items else 1)
-    pool = _make_pool(workers) if workers > 1 else None
+    pool = _make_pool(workers, keep_workers=True) if workers > 1 else None
     if pool is None:
         return [fn(item) for item in items]
     # Context-managed: terminate() on exit, so an exception mid-map

@@ -32,13 +32,48 @@ from repro.stats import StatsCollector
 _WALK_CACHE_CAPACITY = 32768
 
 
+class WalkMemos:
+    """The fragment-walk memos of one program and fragment config.
+
+    A walk depends only on the program, the fragment config, its key
+    and — for walks that consulted it — the asking control's direction
+    fallback, so one pair of memos serves every
+    :class:`FrontEndControl` on the same program and fragment config:
+    each co-sim sibling and every sampled window
+    (:class:`repro.perf.soa.SharedStream` holds one per fragment
+    config).
+    """
+
+    __slots__ = ("pure", "fallback")
+
+    def __init__(self) -> None:
+        #: ``(start_pc, directions) -> StaticFragment`` memo for walks
+        #: that never consulted the direction fallback — only those are
+        #: pure functions of the key (the bimodal fallback trains over
+        #: time, so a walk that asked it may answer differently later).
+        self.pure: Dict[Tuple[int, Tuple[bool, ...]], StaticFragment] = {}
+        #: Verify-on-hit memo for walks that *did* consult the
+        #: fallback: each entry records the fragment plus the exact
+        #: ``(pc, answer)`` sequence the fallback produced during the
+        #: original walk.  A hit re-asks the asking control's own
+        #: (pure) fallback the same questions in the same order; if
+        #: every answer still matches, replaying the cached fragment is
+        #: bit-identical to re-walking.  Any drift (the bimodal table
+        #: trained since, or another processor's table recorded the
+        #: entry) falls back to a fresh walk.  See ``docs/DATA_LAYOUT.md``.
+        self.fallback: Dict[
+            Tuple[int, Tuple[bool, ...]],
+            Tuple[StaticFragment, Tuple[Tuple[int, bool], ...]]] = {}
+
+
 class FrontEndControl:
     """Generates the next predicted fragment, one per cycle at most."""
 
     def __init__(self, program: Program, fragment_config: FragmentConfig,
                  predictor: TracePredictor, ras: ReturnAddressStack,
                  stats: StatsCollector, start_pc: int,
-                 direction_fallback=None):
+                 direction_fallback=None,
+                 memos: Optional[WalkMemos] = None):
         self.program = program
         self.fragment_config = fragment_config
         self.predictor = predictor
@@ -46,6 +81,9 @@ class FrontEndControl:
         self.stats = stats
         #: ``pc -> bool`` fallback direction source (bimodal predictor).
         self.direction_fallback = direction_fallback
+        #: The walk memos, shared by every control on this program and
+        #: fragment config that was handed the same instance.
+        self.memos = WalkMemos() if memos is None else memos
 
         self._next_seq = 0
         #: Statically-known (or redirect-supplied) start of the next
@@ -55,24 +93,6 @@ class FrontEndControl:
         self._ras_hint: Optional[int] = None
         #: True when fetch is stalled behind an unresolved indirect.
         self.stalled_on_indirect = False
-
-        #: ``(start_pc, directions) -> StaticFragment`` memo for walks
-        #: that never consulted the direction fallback — only those are
-        #: pure functions of the key (the bimodal fallback trains over
-        #: time, so a walk that asked it may answer differently later).
-        self._walk_cache: Dict[
-            Tuple[int, Tuple[bool, ...]], StaticFragment] = {}
-        #: Verify-on-hit memo for walks that *did* consult the
-        #: fallback: each entry records the fragment plus the exact
-        #: ``(pc, answer)`` sequence the fallback produced during the
-        #: original walk.  A hit re-asks the (pure) fallback the same
-        #: questions in the same order; if every answer still matches,
-        #: replaying the cached fragment is bit-identical to re-walking.
-        #: Any drift (the bimodal table trained since) falls back to a
-        #: fresh walk.  See ``docs/DATA_LAYOUT.md``.
-        self._fallback_memo: Dict[
-            Tuple[int, Tuple[bool, ...]],
-            Tuple[StaticFragment, Tuple[Tuple[int, bool], ...]]] = {}
 
     # -- fragment generation ----------------------------------------------
 
@@ -123,13 +143,14 @@ class FrontEndControl:
         time, so yesterday's answers may have drifted); either way the
         replayed result is bit-identical to re-walking.
         """
-        cache = self._walk_cache
+        memos = self.memos
+        cache = memos.pure
         fallback = self.direction_fallback
         key = (start, tuple(directions))
         cached = cache.get(key)
         if cached is not None:
             return cached
-        memo = self._fallback_memo
+        memo = memos.fallback
         if fallback is not None:
             entry = memo.get(key)
             if entry is not None:

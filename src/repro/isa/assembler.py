@@ -119,8 +119,13 @@ def _source(opcode, ops, symbols, line, addr):
 
 
 def _lui(opcode, ops, symbols, line, addr):
-    return (Instruction(opcode, rd=_reg(ops[0], line),
-                        imm=_value(ops[1], symbols, line), addr=addr),)
+    """``lui``: a zero-extended 16-bit upper half."""
+    rd = _reg(ops[0], line)
+    imm = _value(ops[1], symbols, line)
+    if not 0 <= imm <= 0xFFFF:
+        raise AssemblerError(
+            f"lui immediate {imm} out of 0..65535 range", line)
+    return (Instruction(opcode, rd=rd, imm=imm, addr=addr),)
 
 
 def _logical(opcode, ops, symbols, line, addr):
@@ -357,11 +362,15 @@ class Assembler:
             elif mnemonic == ".space":
                 if in_text:
                     raise AssemblerError(".space in text segment", lineno)
+                if len(operands) != 1:
+                    raise AssemblerError(".space needs 1 operand", lineno)
                 size = _parse_int(operands[0], lineno)
                 if size < 0:
                     raise AssemblerError("negative .space size", lineno)
                 data_addr += size
             elif mnemonic == ".align":
+                if len(operands) != 1:
+                    raise AssemblerError(".align needs 1 operand", lineno)
                 boundary = _parse_int(operands[0], lineno)
                 if boundary <= 0 or boundary & (boundary - 1):
                     raise AssemblerError(".align needs a power of two", lineno)

@@ -17,10 +17,11 @@ checkpoint, and drives it in ``run_until``/``restart_at`` segments:
   windows, unit-lockstep over the whole group.
 
 What is a pure function of the *stream* is computed once per group: one
-:class:`~repro.perf.soa.SharedStream` (decode cache, SoA PC table,
-per-fragment-config metadata), one warm-snapshot training pass per
-fragment config (:func:`repro.sampling.prep.warm_group_snapshots`), and
-in sampled mode one cache-touch list per functional gap.  Everything
+:class:`~repro.perf.soa.SharedStream` (NOP-free oracle, decode cache,
+SoA PC table, per-fragment-config metadata and fragment-walk memos),
+one warm-training walk per fragment config that trains each distinct
+warm structure once (:func:`repro.sampling.prep.warm_group_snapshots`),
+and in sampled mode one cache-touch list per functional gap.  Everything
 config-dependent — predictors, rename state, window, caches' *contents*,
 stats — stays per processor, so results (counters included) are
 bit-identical to serial per-config runs in every mode; the parity tests
@@ -34,7 +35,6 @@ package for :mod:`repro.perf.soa`, so a module-level import of
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.emulator.stream import gc_paused
@@ -252,12 +252,11 @@ def run_cosim(specs: Sequence[CosimSpec],
         snapshots = prep.warm_group_snapshots(configs, oracle, stream_key,
                                               pin=program)
         prep_after = prep.PREP_STATS.as_dict()
-        for key in ("prep.snapshot_trains", "prep.snapshot_group_shared"):
+        for key in ("prep.snapshot_trains", "prep.structure_trains",
+                    "prep.snapshot_group_shared"):
             delta = prep_after.get(key, 0.0) - prep_before.get(key, 0.0)
             if delta:
                 savings[key] = delta
-    # Clones each group snapshot still owes; the last one drops it.
-    owed = Counter(prep.snapshot_key(stream_key, c) for c in configs)
     shared = SharedStream(oracle)
 
     def build(processor_config, name: str) -> Processor:
@@ -282,10 +281,6 @@ def run_cosim(specs: Sequence[CosimSpec],
         elif warm:
             prep.warm_from_snapshot(processor, oracle, stream_key,
                                     pin=program, snapshots=snapshots)
-            snapshot_key = prep.snapshot_key(stream_key, processor_config)
-            owed[snapshot_key] -= 1
-            if not owed[snapshot_key]:
-                snapshots.pop(snapshot_key, None)
         return processor
 
     def run_full(processor_config, name: str) -> SimulationResult:

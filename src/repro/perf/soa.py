@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.uop import DecodeCache, DecodedUop
 from repro.emulator.stream import DynamicInstruction
+from repro.frontend.control import WalkMemos
 from repro.frontend.fragments import FragmentKey, StaticFragment
 
 
@@ -93,43 +94,61 @@ class FragMeta:
 
 
 class SharedStream:
-    """Config-independent per-stream state for co-simulated siblings.
+    """Config-independent per-stream state of every processor on a stream.
 
-    The co-simulation engine (:mod:`repro.perf.cosim`) runs N timing
-    configs over one prepared stream; everything here is a pure function
-    of the stream (plus, for fragment metadata, the fragment config), so
-    one instance can back every sibling ``Processor`` without perturbing
-    result identity:
+    Everything here is a pure function of the stream (plus, for the
+    per-fragment state, the fragment config), so one instance backs
+    every ``Processor`` on one stream without perturbing result
+    identity.  The co-simulation engine (:mod:`repro.perf.cosim`) builds
+    one per group; a processor given none builds its own.  It holds:
 
+    * the NOP-free oracle (``Processor._oracle``) and its flattened PC
+      table (``SoAState.oracle_pcs``);
     * one :class:`~repro.core.uop.DecodeCache` — decode is pure per PC
       and instruction identity, and its hit/miss counters never reach
       :class:`~repro.core.simulation.SimulationResult`;
-    * one flattened oracle-PC table (the ``SoAState.oracle_pcs`` mirror);
-    * one :class:`FragMeta` dict *per fragment config* — canonical keys
-      are only exact within one carving geometry, so metadata is scoped
-      by :class:`~repro.config.FragmentConfig`.
+    * one :class:`FragMeta` dict and one
+      :class:`~repro.frontend.control.WalkMemos` *per fragment config* —
+      canonical keys are only exact within one carving geometry.  Every
+      processor's front-end control walks through the same memos, so
+      a fragment is walked once per group, not once per sibling and
+      sampled window.
     """
 
-    __slots__ = ("decode_cache", "oracle_pcs", "_meta_by_fragment")
+    __slots__ = ("decode_cache", "oracle", "oracle_pcs", "stream_length",
+                 "_by_fragment")
 
-    def __init__(self, oracle: List[DynamicInstruction]):
+    def __init__(self, stream: List[DynamicInstruction]):
         self.decode_cache = DecodeCache()
-        #: PCs of the non-NOP records, matching ``Processor._oracle``.
-        self.oracle_pcs: List[int] = [
-            r.pc for r in oracle if not r.inst.is_nop]
-        self._meta_by_fragment: Dict[object, Dict[FragmentKey, FragMeta]] = {}
+        #: The non-NOP records: NOPs are eliminated before they reach
+        #: any pipeline statistic.
+        self.oracle: List[DynamicInstruction] = [
+            r for r in stream if not r.inst.is_nop]
+        #: PCs of ``oracle``, for slice comparison.
+        self.oracle_pcs: List[int] = [r.pc for r in self.oracle]
+        #: Length of the raw stream this was built from.
+        self.stream_length = len(stream)
+        self._by_fragment: Dict[
+            object, Tuple[Dict[FragmentKey, FragMeta], WalkMemos]] = {}
+
+    def _for_fragment(self, fragment_config: object
+                      ) -> Tuple[Dict[FragmentKey, FragMeta], WalkMemos]:
+        state = self._by_fragment.get(fragment_config)
+        if state is None:
+            state = self._by_fragment[fragment_config] = ({}, WalkMemos())
+        return state
 
     def meta_for(self, fragment_config: object) -> Dict[FragmentKey, FragMeta]:
         """The shared metadata dict for one carving geometry."""
-        meta = self._meta_by_fragment.get(fragment_config)
-        if meta is None:
-            meta = {}
-            self._meta_by_fragment[fragment_config] = meta
-        return meta
+        return self._for_fragment(fragment_config)[0]
+
+    def walk_memos(self, fragment_config: object) -> WalkMemos:
+        """The shared fragment-walk memos for one carving geometry."""
+        return self._for_fragment(fragment_config)[1]
 
 
 class SoAState:
-    """Flat batched state owned by one :class:`Processor` instance."""
+    """One :class:`Processor`'s view of its stream's batched state."""
 
     __slots__ = ("oracle_pcs", "_cache", "_meta")
 
@@ -137,20 +156,15 @@ class SoAState:
     #: real workloads revisit far fewer distinct fragment keys).
     _META_CAP = 8192
 
-    def __init__(self, oracle: List[DynamicInstruction],
-                 decode_cache: DecodeCache,
-                 oracle_pcs: Optional[List[int]] = None,
-                 meta: Optional[Dict[FragmentKey, FragMeta]] = None):
-        # The co-simulation engine (repro.perf.cosim) injects one shared
-        # PC table and FragMeta dict across sibling processors on the
-        # same stream; both are pure per (stream, fragment config, decode
-        # cache), so sharing is exact.  Solo processors build their own.
+    def __init__(self, shared: SharedStream, fragment_config: object):
+        # One PC table and FragMeta dict per stream and fragment config,
+        # shared by every processor on the stream: both are pure per
+        # (stream, fragment config, decode cache), so sharing is exact.
         #: PC of every oracle record, flattened for slice comparison.
-        self.oracle_pcs: List[int] = (
-            [r.pc for r in oracle] if oracle_pcs is None else oracle_pcs)
-        self._cache = decode_cache
-        self._meta: Dict[FragmentKey, FragMeta] = (
-            {} if meta is None else meta)
+        self.oracle_pcs: List[int] = shared.oracle_pcs
+        self._cache = shared.decode_cache
+        self._meta: Dict[FragmentKey, FragMeta] = shared.meta_for(
+            fragment_config)
 
     def meta_for(self, static: StaticFragment) -> FragMeta:
         """The (cached) batched metadata for *static*.

@@ -13,11 +13,12 @@ Three layers:
   ad-hoc :class:`~repro.isa.program.Program` to its decoded program and
   oracle stream, through the in-process caches (suite module / ad-hoc
   memo) and the on-disk stream cache.
-* :func:`warm_from_snapshot` — functional warming via a cached
+* :func:`warm_from_snapshot` — functional warming via a
   *trained-predictor snapshot*: donor structures are trained once per
-  (stream, warm-config) and cloned into each run's processor with the
-  structures' ``adopt_state`` methods.  Training is deterministic, so
-  the clone is bit-identical to retraining (the test suite asserts it).
+  (stream, structure config) — however many warm configs share one —
+  and cloned into each run's processor with the structures'
+  ``adopt_state`` methods.  Training is deterministic, so the clone is
+  bit-identical to retraining (the test suite asserts it).
 * The disk layer shares ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``
   semantics with :mod:`repro.experiments.runner`'s result cache.
 """
@@ -28,7 +29,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
@@ -41,7 +42,7 @@ from repro.emulator.stream import (
 )
 from repro.frontend.trace_cache import TraceCache
 from repro.isa.program import Program
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.cache import Cache
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.liveout import LiveOutPredictor
 from repro.predictors.trace_predictor import TracePredictor
@@ -59,9 +60,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: Process-wide prep-cache observability (thread-safe: library callers
 #: may run simulations — and therefore prep-cache loads — on several
 #: threads at once).  ``prep.stream_corrupt`` counts quarantined bundles;
-#: ``prep.snapshot_trains`` / ``prep.snapshot_hits`` count warm-snapshot
-#: builds versus clones served from the in-process cache (grouped sweeps
-#: drive the hit rate up — see ``REPRO_SWEEP_GROUP``).
+#: ``prep.snapshot_trains`` / ``prep.snapshot_hits`` count warm digests
+#: that needed training versus ones served whole from the in-process
+#: warm table, and ``prep.structure_trains`` the distinct structures
+#: trained (see :func:`warm_group_snapshots`).
 PREP_STATS = ThreadSafeStatsCollector()
 
 #: Bump to invalidate on-disk streams when the emulator/ISA changes shape.
@@ -86,12 +88,10 @@ _adhoc_slices: Dict[Tuple[int, int], ExecutionResult] = {}
 #: A warm-snapshot identity: the stream plus the warm-config digest.
 SnapshotKey = Tuple[StreamKey, str]
 
-#: Trained warm-state snapshots, LRU-capped (each holds predictor tables
-#: plus full L1/L2/trace-cache tag state — small, but not free).  Serves
-#: serial runs; co-sim groups clone from their own mapping instead (see
-#: :func:`warm_group_snapshots`).
-_snapshots: "OrderedDict[SnapshotKey, _WarmSnapshot]" = OrderedDict()
-_SNAPSHOT_CAP = 8
+#: The warm structures a processor adopts, by attribute name (the
+#: *role* half of a structure's identity; see :func:`_structure_specs`).
+ROLES = ("bimodal", "trace_predictor", "liveout_predictor", "l1i", "l1d",
+         "l2", "trace_cache")
 
 
 def _disk_enabled() -> bool:
@@ -256,7 +256,7 @@ def get_oracle(benchmark: Union[str, Program],
                length: int) -> Tuple[Program, ExecutionResult, StreamKey]:
     """Resolve *benchmark* to ``(program, oracle stream, stream key)``.
 
-    The stream key identifies the stream for the warm-snapshot cache:
+    The stream key identifies the stream for the warm table:
     suite streams by (name, stream length), ad-hoc programs by object
     identity (the prep caches pin the program, keeping ids stable).
     """
@@ -274,36 +274,108 @@ def get_oracle(benchmark: Union[str, Program],
 
 
 class _WarmSnapshot:
-    """Donor structures trained on one (stream, warm config)."""
+    """Donor structures trained on one (stream, warm config).
 
-    __slots__ = ("bimodal", "trace_predictor", "liveout_predictor",
-                 "memory", "trace_cache", "pin")
+    Only ever cloned from (:meth:`Processor.adopt_warm_state`), never
+    trained or run, so snapshots of configs that agree on a structure's
+    config hold that one trained structure between them.  Caches are
+    bare (``l1i``/``l1d``/``l2``, no hierarchy); ``trace_cache`` is None
+    unless the config fetches from a trace cache.
+    """
 
-    def __init__(self, config: ProcessorConfig, pin: object):
-        stats = StatsCollector()
-        self.bimodal = BimodalPredictor(stats=stats)
-        self.trace_predictor = TracePredictor(config.trace_predictor, stats)
-        self.liveout_predictor = LiveOutPredictor(config.liveout_predictor,
-                                                  stats)
-        self.memory = MemoryHierarchy(config.memory, stats)
-        self.trace_cache: Optional[TraceCache] = (
-            TraceCache(config.frontend.trace_cache, stats)
-            if config.frontend.fetch_kind == "tc" else None)
-        # Keeps ad-hoc programs alive so identity-based keys stay valid.
-        self.pin = pin
+    __slots__ = ROLES
+
+    def __init__(self, structures: Dict[str, object]):
+        for role in ROLES:
+            setattr(self, role, structures.get(role))
 
 
 class _Donor:
-    """Duck-typed stand-in for a Processor, warmed instead of one."""
+    """The structures one config still needs trained, for
+    :func:`repro.core.warming.warm_donor_group` (None: already trained)."""
 
-    def __init__(self, config: ProcessorConfig, snapshot: _WarmSnapshot):
+    __slots__ = ("config", "stats") + ROLES
+
+    def __init__(self, config: ProcessorConfig, stats: StatsCollector):
         self.config = config
-        self.stats = snapshot.bimodal.stats
-        self.bimodal = snapshot.bimodal
-        self.trace_predictor = snapshot.trace_predictor
-        self.liveout_predictor = snapshot.liveout_predictor
-        self.memory = snapshot.memory
-        self.trace_cache = snapshot.trace_cache
+        self.stats = stats
+        for role in ROLES:
+            setattr(self, role, None)
+
+
+def _structure_specs(config: ProcessorConfig) -> Dict[str, object]:
+    """Role -> every config field that role's training reads.
+
+    Warming touches each cache in an order fixed by the stream alone and
+    trains the bimodal table on every conditional branch, so those are
+    keyed by their own geometry; the fragment-sequence structures also
+    see the fragment config's carving.  Two configs with equal specs for
+    a role end training with equal structures in that role.
+    """
+    fragment = config.fragment
+    memory = config.memory
+    specs: Dict[str, object] = {
+        "bimodal": None,
+        "trace_predictor": (fragment, config.trace_predictor),
+        "liveout_predictor": (fragment, config.liveout_predictor),
+        "l1i": memory.l1i,
+        "l1d": memory.l1d,
+        "l2": memory.l2,
+    }
+    if config.frontend.fetch_kind == "tc":
+        specs["trace_cache"] = (fragment, config.frontend.trace_cache)
+    return specs
+
+
+def _build_structure(role: str, spec, stats: StatsCollector):
+    """An untrained structure for *role* with config *spec*."""
+    if role == "bimodal":
+        return BimodalPredictor(stats=stats)
+    if role == "trace_predictor":
+        return TracePredictor(spec[1], stats)
+    if role == "liveout_predictor":
+        return LiveOutPredictor(spec[1], stats)
+    if role == "trace_cache":
+        return TraceCache(spec[1], stats)
+    return Cache(spec, role, stats)
+
+
+class _WarmTable:
+    """The most recent stream's trained warm structures.
+
+    Keyed by ``(role, spec)`` (:func:`_structure_specs`): a structure is
+    trained once per stream however many warm digests use it, and kept
+    after the call, so serial runs on the same stream train only what
+    they add.  A call on another stream starts a new dict, so a process
+    never holds more than one stream's structures.  A dict only ever
+    belongs to one stream, and a structure enters it only once trained,
+    so callers on several threads at worst train a structure twice.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every trained structure."""
+        with self._lock:
+            self.stream: Optional[StreamKey] = None
+            #: Keeps an ad-hoc program alive while its id keys the table.
+            self.pin: object = None
+            self.structures: Dict[Tuple[str, object], object] = {}
+
+    def for_stream(self, key: StreamKey,
+                   pin: object) -> Dict[Tuple[str, object], object]:
+        """The structure dict of stream *key*, a new one on a new stream."""
+        with self._lock:
+            if key != self.stream:
+                self.structures = {}
+                self.stream = key
+                self.pin = pin
+            return self.structures
+
+
+_warm_table = _WarmTable()
 
 
 def _warm_digest(config: ProcessorConfig) -> str:
@@ -317,7 +389,7 @@ def _warm_digest(config: ProcessorConfig) -> str:
 
 
 def snapshot_key(key: StreamKey, config: ProcessorConfig) -> SnapshotKey:
-    """The warm-snapshot cache key of *config* on stream *key*."""
+    """The warm-snapshot key of *config* on stream *key*."""
     return (key, _warm_digest(config))
 
 
@@ -350,11 +422,11 @@ def warm_from_snapshot(processor: "Processor", oracle,
 
     Equivalent to ``warm_processor(processor, oracle)`` — training is
     deterministic, so adopting the donor's end state is bit-identical to
-    training in place — but the training cost is paid once per
-    (stream, warm config) instead of once per run.  *snapshots*, a
+    training in place — but each structure is trained once per
+    (stream, structure config) instead of once per run.  *snapshots*, a
     co-sim group's mapping from :func:`warm_group_snapshots`, is
-    consulted first; otherwise the process-wide cache serves (or a
-    group of one trains) the snapshot.
+    consulted first; otherwise the process-wide warm table serves the
+    snapshot, training only the structures it lacks.
     """
     cache_key = snapshot_key(key, processor.config)
     snapshot = snapshots.get(cache_key) if snapshots is not None else None
@@ -372,70 +444,76 @@ def warm_from_snapshot(processor: "Processor", oracle,
 def warm_group_snapshots(configs, oracle, key: StreamKey,
                          pin: object = None
                          ) -> Dict[SnapshotKey, _WarmSnapshot]:
-    """Train the warm snapshots for every config in one stream pass.
+    """The warm snapshots of every config in *configs* on one stream.
 
-    The co-simulation warming amortization: distinct warm digests in
-    *configs* that are not yet cached are trained together via
-    :func:`repro.core.warming.warm_donor_group` — one walk of *oracle*
-    per shared fragment config instead of one per digest.  Training is
-    bit-identical to the on-demand :func:`warm_from_snapshot` build
-    (each donor observes the same update sequence), so clones of these
-    snapshots are exact.
+    Each snapshot references its structures in the warm table
+    (:class:`_WarmTable`); structures the table lacks are trained
+    together via :func:`repro.core.warming.warm_donor_group` — one walk
+    of *oracle* per fragment config, each distinct structure trained
+    once.  Every structure sees the update sequence a solo
+    :func:`~repro.core.warming.warm_processor` pass would apply, so
+    clones of these snapshots are exact.
 
-    Returns the group's ``{snapshot key: snapshot}`` mapping, already
-    cached entries included.  Co-sim clones every sibling from it: a
-    group with more digests than the process-wide cache holds
-    (:data:`_SNAPSHOT_CAP`) would otherwise find its first snapshots
-    evicted and retrain them one by one.
+    Returns the group's ``{snapshot key: snapshot}`` mapping; co-sim
+    clones every sibling from it.
 
-    Counts ``prep.snapshot_trains`` per digest built (same as serial),
-    ``prep.snapshot_hits`` per digest the process-wide cache served,
-    plus ``prep.snapshot_group_shared`` for every stream pass *saved*
-    by sharing (digests beyond the first in each group).
+    Counts ``prep.snapshot_trains`` per digest that needed training,
+    ``prep.snapshot_hits`` per digest the table served whole,
+    ``prep.structure_trains`` per distinct structure trained, and
+    ``prep.snapshot_group_shared`` for every stream walk *saved* by
+    sharing (digests beyond the first in each walk).
     """
     from repro.core.warming import warm_donor_group
 
-    snapshots: Dict[SnapshotKey, _WarmSnapshot] = {}
-    pending: "OrderedDict[SnapshotKey, ProcessorConfig]" = OrderedDict()
+    table = _warm_table.for_stream(key, pin)
+    specs: Dict[SnapshotKey, Dict[str, object]] = {}
+    by_fragment: Dict[object, list] = {}
     for config in configs:
         cache_key = snapshot_key(key, config)
-        if cache_key in snapshots or cache_key in pending:
+        if cache_key in specs:
             continue
-        cached = _snapshots.get(cache_key)
-        if cached is not None:
+        specs[cache_key] = config_specs = _structure_specs(config)
+        if all((role, spec) in table
+               for role, spec in config_specs.items()):
             PREP_STATS.add("prep.snapshot_hits")
-            _snapshots.move_to_end(cache_key)
-            snapshots[cache_key] = cached
-        else:
-            pending[cache_key] = config
-
-    # Fragment carving is config-dependent only through FragmentConfig,
-    # so only digests sharing one can share a stream pass.
-    by_fragment: Dict[object, list] = {}
-    for cache_key, config in pending.items():
+            continue
+        PREP_STATS.add("prep.snapshot_trains")
         by_fragment.setdefault(config.fragment, []).append(
-            (cache_key, config))
+            (config, config_specs))
 
+    # Carving depends on the config only through FragmentConfig, so one
+    # walk trains the structures of every config sharing one; the
+    # stream-only structures go to the first walk that needs them.
     for group in by_fragment.values():
-        built = []
-        for cache_key, config in group:
-            PREP_STATS.add("prep.snapshot_trains")
-            snapshot = _WarmSnapshot(config, pin)
-            built.append((cache_key, snapshot, _Donor(config, snapshot)))
-        if len(built) > 1:
-            PREP_STATS.add("prep.snapshot_group_shared", len(built) - 1)
-        warm_donor_group([donor for _, _, donor in built], oracle)
-        for cache_key, snapshot, _ in built:
-            snapshots[cache_key] = snapshot
-            _snapshots[cache_key] = snapshot
-            if len(_snapshots) > _SNAPSHOT_CAP:
-                _snapshots.popitem(last=False)
-    return snapshots
+        stats = StatsCollector()
+        fresh: Dict[Tuple[str, object], object] = {}
+        donors = []
+        for config, config_specs in group:
+            donor = _Donor(config, stats)
+            for role, spec in config_specs.items():
+                if (role, spec) in table:
+                    continue
+                structure = fresh.get((role, spec))
+                if structure is None:
+                    structure = fresh[(role, spec)] = _build_structure(
+                        role, spec, stats)
+                setattr(donor, role, structure)
+            donors.append(donor)
+        if len(donors) > 1:
+            PREP_STATS.add("prep.snapshot_group_shared", len(donors) - 1)
+        if fresh:
+            PREP_STATS.add("prep.structure_trains", len(fresh))
+            warm_donor_group(donors, oracle)
+            table.update(fresh)
+
+    return {cache_key: _WarmSnapshot({role: table[(role, spec)]
+                                      for role, spec in config_specs.items()})
+            for cache_key, config_specs in specs.items()}
 
 
 def clear_prep_caches() -> None:
-    """Drop all prep caches (ad-hoc streams, warm snapshots).  The
-    suite's own caches are cleared via ``suite.clear_caches()``."""
+    """Drop all prep caches (ad-hoc streams, trained warm structures).
+    The suite's own caches are cleared via ``suite.clear_caches()``."""
     _adhoc_streams.clear()
     _adhoc_slices.clear()
-    _snapshots.clear()
+    _warm_table.clear()

@@ -7,7 +7,8 @@
   at each wrong operand count; a bad value in each operand position of
   each form (registers, 16-bit and logical immediates, memory operands,
   targets) and in all of them at once, which pins the order operands
-  are checked in; ``li``/``la`` values beyond 32 bits; directive and
+  are checked in; ``li``/``la`` values beyond 32 bits and ``lui``
+  values beyond 16; directive and
   segment errors; and sources with errors on two lines, which pin that
   layout errors (pass 1) come before encoding errors (pass 2);
 * **programs** — the :func:`~tests.test_stream_digests.program_digest`
@@ -44,7 +45,7 @@ PREAMBLE = "main:\n    nop\n"
 
 #: Every mnemonic in each operand form the assembler accepts,
 #: including spellings the generator never writes (upper case, ``r01``,
-#: FP registers, labels as immediates and offsets, wide ``lui``).
+#: FP registers, labels as immediates and offsets).
 FORMS = """
     .text
 main:
@@ -71,8 +72,6 @@ main:
     srli t5, t4, 1
     slti t6, t5, -1
     lui  t7, 0xFFFF
-    lui  t7, 70000
-    lui  t7, words
     fadd f1, f2, f3
     fsub f4, f5, f6
     fcvt f7, t0
@@ -198,7 +197,10 @@ ERROR_CASES = {
         ".data\n.align 3", ".data\n.align 0", ".data\n.space -1",
         ".data\n.space zz", ".data\n.word zz", ".data\n.word 1, nowhere",
         ".data\nadd t0, t1, t2", ".data\nli t0, 1", "x: nop\nx: nop",
-        "main: nop"],
+        "main: nop", ".data\n.space", ".data\n.align"],
+    # lui takes a 16-bit upper half, as the binary encoding does.
+    "lui-range": ["lui t7, 70000", "lui t7, -1",
+                  "lui t7, words\n.data\nwords: .word 1"],
     # Pass 1 (layout) reports before pass 2 (encoding), whatever the
     # line order; within a pass the first bad line reports.
     "two-passes": ["bogus\nli t0", "add t0\nli t0, zz", "add t0\n.bogus",

@@ -73,9 +73,11 @@ class TestFullDetailParity:
         assert results[0].counters == results[1].counters
 
     def test_each_warm_digest_trains_once(self):
-        """A group with more warm digests than the process-wide snapshot
-        cache holds clones every sibling from its own snapshot mapping,
-        so no digest is evicted and retrained before its sibling runs."""
+        """A group of ten warm digests counts each digest trained once
+        and trains each distinct structure once — one bimodal, trace
+        predictor, live-out predictor, L1D and L2, six L1I geometries
+        and five trace caches — and every sibling equals its serial
+        run."""
         from repro.config import frontend_config
         from repro.experiments.sweeps import FIG9_STORAGES
         from repro.sampling import prep
@@ -83,17 +85,21 @@ class TestFullDetailParity:
         specs = [(frontend_config(name, total_l1_storage=storage),
                   f"{name}-{storage // 1024}k")
                  for name in ("w16", "tc") for storage in FIG9_STORAGES]
-        assert len(specs) > prep._SNAPSHOT_CAP
         serial = []
         for config, label in specs:
             clear_prep_caches()
             serial.append(run_simulation(config, "gzip", config_name=label,
                                          max_instructions=LENGTH))
         clear_prep_caches()
-        before = prep.PREP_STATS.get("prep.snapshot_trains")
+        before = prep.PREP_STATS.as_dict()
         results, savings = run_cosim(specs, "gzip", max_instructions=LENGTH)
-        trains = prep.PREP_STATS.get("prep.snapshot_trains") - before
+        after = prep.PREP_STATS.as_dict()
+        trains = (after["prep.snapshot_trains"]
+                  - before.get("prep.snapshot_trains", 0.0))
         assert trains == len(specs) == savings["prep.snapshot_trains"]
+        structures = (after["prep.structure_trains"]
+                      - before.get("prep.structure_trains", 0.0))
+        assert structures == 5 + 6 + 5 == savings["prep.structure_trains"]
         assert ([result_tuple(r) for r in results]
                 == [result_tuple(r) for r in serial])
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro import frontend_config
 from repro.__main__ import main
-from repro.config import LiveConfig, ObservabilityConfig
+from repro.config import PAPER_CONFIGS, LiveConfig, ObservabilityConfig
 from repro.core.invariants import InvariantChecker
 from repro.core.simulation import run_simulation
 from repro.errors import ConfigError
@@ -237,6 +237,11 @@ ACYCLIC_RUNS = {
     "group-sampled": lambda tmp: run_cosim(
         [("w16", None), ("pr-2x8w", None)], ACYCLIC_BENCH,
         max_instructions=LENGTH, **MODES["sampled"])[0][-1],
+    # Trains the shared warm structures and fills the shared walk memos
+    # inside the measured run.
+    "group-sampled-paper": lambda tmp: (prep.clear_prep_caches(), run_cosim(
+        [(name, None) for name in PAPER_CONFIGS], ACYCLIC_BENCH,
+        max_instructions=LENGTH, **MODES["sampled"]))[1][0][-1],
     "metrics": lambda tmp: acyclic_run(**ARGUMENTS["metrics"][0]()),
     "trace": lambda tmp: acyclic_run(**ARGUMENTS["trace"][0]()),
     "profile": lambda tmp: acyclic_run(**ARGUMENTS["profile"][0]()),
