@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.config import BackEndConfig
 from repro.core.uop import MicroOp, PlaceholderProducer, UopState
@@ -24,13 +24,18 @@ _DONE_STATES = (UopState.DONE, UopState.COMMITTED)
 
 
 class OutOfOrderCore:
-    """Window + scheduler + functional units."""
+    """Window + scheduler + functional units.
+
+    *eas* is the oracle's effective-address column: a correct-path load
+    or store accesses the D-cache at ``eas[uop.oracle_idx]``.
+    """
 
     def __init__(self, config: BackEndConfig, memory: MemoryHierarchy,
-                 stats: StatsCollector):
+                 stats: StatsCollector, eas: Sequence[int] = ()):
         self.config = config
         self.memory = memory
         self.stats = stats
+        self.eas = eas
         self._reserved = 0
         self._reservations: Dict[int, int] = {}
         self._dispatch: Deque[MicroOp] = deque()
@@ -238,6 +243,7 @@ class OutOfOrderCore:
             latencies = config.fu_latencies
             completions = self._completions
             data_access = self.memory.data_access
+            eas = self.eas
             used: Dict[str, int] = {}
             used_get = used.get
             heappop = heapq.heappop
@@ -263,9 +269,8 @@ class OutOfOrderCore:
                 uop.issue_cycle = now
                 done_at = now + latencies[decoded.latency_key]
                 inst = uop.inst
-                if inst.is_mem and uop.record is not None \
-                        and uop.record.ea is not None:
-                    data_ready = data_access(uop.record.ea, now)
+                if inst.is_mem and uop.oracle_idx >= 0:
+                    data_ready = data_access(eas[uop.oracle_idx], now)
                     if inst.is_load:
                         done_at = max(done_at, data_ready + 1)
                 # Wrong-path memory ops have no architectural address;

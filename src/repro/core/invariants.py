@@ -211,7 +211,7 @@ class InvariantChecker:
                                f"frag#{fragment.seq} uop {position} is "
                                f"committed beyond the commit cursor "
                                f"{fragment.committed_count}")
-                if committed and uop.record is None:
+                if committed and uop.oracle_idx < 0:
                     self._fail(processor,
                                f"frag#{fragment.seq} committed wrong-path "
                                f"uop at position {position}")

@@ -22,7 +22,7 @@ exactly the mis-speculation window, as in an execution-driven simulator.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
@@ -33,7 +33,7 @@ from repro.core.invariants import InvariantChecker, PipelineWatchdog
 from repro.core.uop import MicroOp, PlaceholderProducer, UopState
 from repro.perf.soa import SharedStream, SoAState
 from repro.backend.core import OutOfOrderCore
-from repro.emulator.stream import DynamicInstruction
+from repro.emulator.stream import ColumnStream
 from repro.errors import ConfigError, SimulationError
 from repro.frontend.buffers import FragmentBufferArray, FragmentInFlight
 from repro.frontend.control import FrontEndControl
@@ -49,7 +49,7 @@ from repro.isa.program import Program
 from repro.isa.registers import ZERO_REG
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.liveout import LiveOutPredictor, compute_liveouts
+from repro.predictors.liveout import LiveOutPredictor, memo_liveouts
 from repro.predictors.return_stack import ReturnAddressStack
 from repro.predictors.trace_predictor import TracePredictor
 from repro.rename.monolithic import MonolithicRenamer
@@ -62,6 +62,9 @@ _FROM_ENV = object()
 
 #: Cycle phases in step order; profiler labels for ``Processor._phases``.
 PHASE_NAMES = ("execute", "commit", "rename", "fetch")
+
+#: A ``taken`` column entry (0 or 1) as the bool a direction bit is.
+_TAKEN = (False, True)
 
 
 def _unlink(uops: List[MicroOp]) -> None:
@@ -88,7 +91,7 @@ class Processor:
     """One simulated processor instance (one benchmark run)."""
 
     def __init__(self, config: ProcessorConfig, program: Program,
-                 oracle: List[DynamicInstruction],
+                 oracle: ColumnStream,
                  watchdog=_FROM_ENV, invariants=_FROM_ENV,
                  obs: Optional["Observability"] = None,
                  live: Optional["LiveTelemetry"] = None,
@@ -119,6 +122,9 @@ class Processor:
         elif shared.stream_length != len(oracle):
             raise SimulationError(
                 "shared stream does not match this oracle stream")
+        self.shared = shared
+        #: The NOP-free oracle: uops bind to it by index
+        #: (``MicroOp.oracle_idx``) and every phase reads its columns.
         self._oracle = shared.oracle
         if not self._oracle:
             raise SimulationError("empty oracle stream")
@@ -133,14 +139,15 @@ class Processor:
         self.bimodal = BimodalPredictor(stats=self.stats)
         self.control = FrontEndControl(program, config.fragment,
                                        self.trace_predictor, self.ras,
-                                       self.stats, self._oracle[0].pc,
+                                       self.stats, self._oracle.pc[0],
                                        direction_fallback=self.bimodal.predict,
                                        memos=self._walk_memos)
         self.buffers = FragmentBufferArray(
             config.frontend.num_fragment_buffers, self.stats)
         self.trace_cache: Optional[TraceCache] = None
         self.engine = self._build_engine()
-        self.core = OutOfOrderCore(config.backend, self.memory, self.stats)
+        self.core = OutOfOrderCore(config.backend, self.memory, self.stats,
+                                   self._oracle.ea)
         self.renamer = self._build_renamer()
         #: Decoded-uop cache (recurring fragments reuse one immutable
         #: :class:`~repro.core.uop.DecodedUop` per static instruction) and
@@ -162,8 +169,9 @@ class Processor:
         self._oracle_pos = 0
         self._diverged = False
         self._committed = 0
-        #: Oracle record count at which the run stops (the whole stream by
-        #: default; :meth:`run_until` moves it for sampled windows).
+        #: Oracle instruction count at which the run stops (the whole
+        #: stream by default; :meth:`run_until` moves it for sampled
+        #: windows).
         self._stop_at = len(self._oracle)
         self._done = False
         self._deferred_redirects: List[MicroOp] = []
@@ -182,15 +190,12 @@ class Processor:
             InvariantChecker.from_env() if invariants is _FROM_ENV
             else invariants)
 
-        # Commit-side fragment carver (predictor training).
-        self._carve_records: List[DynamicInstruction] = []
+        # Commit-side fragment carver (predictor training).  Commits run
+        # in oracle order, so the carve in progress is the oracle range
+        # [_carve_start, commit cursor); its direction bits are kept as
+        # they commit.
+        self._carve_start = 0
         self._carve_dirs: List[bool] = []
-        #: Memoised ground-truth live-outs per carved fragment, keyed by
-        #: ``(key, length)``.  A carve's instruction path is fully
-        #: determined by its start PC, direction bits and length (an
-        #: indirect always terminates a carve), and ``LiveOutInfo`` is an
-        #: immutable tuple, so replaying the memo is exact.
-        self._liveout_memo: Dict = {}
         #: Live-out recovery policy, hoisted for the rename phase.
         self._squash_mode = config.frontend.liveout_recovery == "squash"
         #: Whether the renamer exposes live-out misprediction queues
@@ -287,7 +292,8 @@ class Processor:
 
     def run_until(self, stop_at: int,
                   max_cycles: Optional[int] = None) -> bool:
-        """Run the timed loop until *stop_at* oracle records have committed.
+        """Run the timed loop until *stop_at* oracle instructions have
+        committed.
 
         The one segment every run mode is built from: a full-detail run
         is one segment, a checkpointed run one per interval, a sampled
@@ -312,7 +318,7 @@ class Processor:
 
     def restart_at(self, index: int) -> None:
         """Restart timing from the architectural checkpoint at oracle
-        record *index* (PC, retire index, clean speculative history).
+        index *index* (PC, retire index, clean speculative history).
 
         Rebuilds the *transient* pipeline state — in-flight fragments,
         buffers, fill engine, out-of-order core, renamer, RAS and
@@ -334,7 +340,7 @@ class Processor:
         self._done = False
         self._deferred_redirects = []
         self._pending_reexec = set()
-        self._carve_records = []
+        self._carve_start = index
         self._carve_dirs = []
         self.fragments = []
         fe = self.config.frontend
@@ -343,12 +349,12 @@ class Processor:
         self.ras = ReturnAddressStack()
         self.control = FrontEndControl(
             self.program, self.config.fragment, self.trace_predictor,
-            self.ras, self.stats, self._oracle[index].pc,
+            self.ras, self.stats, self._oracle.pc[index],
             direction_fallback=self.bimodal.predict,
             memos=self._walk_memos)
         self.engine = self._build_engine()
         self.core = OutOfOrderCore(self.config.backend, self.memory,
-                                   self.stats)
+                                   self.stats, self._oracle.ea)
         self.renamer = self._build_renamer()
         # History registers: speculative history restarts clean (exactly
         # as after warming); retire history keeps its trained state.
@@ -425,70 +431,61 @@ class Processor:
     # -- oracle tagging ------------------------------------------------------
 
     def _tag(self, fragment: FragmentInFlight) -> None:
-        """Bind a new fragment to oracle records and attach its metadata.
+        """Bind a new fragment to the oracle and attach its metadata.
 
-        One slice comparison against the flat oracle PC array covers the
-        overwhelmingly common case (on the correct path, fully matched);
-        a fragment already on the wrong path gets no records; anything
-        else — divergence, stream end — falls back to the per-instruction
-        walk of :meth:`_tag_fragment`, which starts from the same
-        untouched ``_oracle_pos``."""
+        A fragment's correct-path instructions are one contiguous oracle
+        range and its wrong path a suffix, so the binding is
+        ``(oracle_start, matched)``.  One slice comparison against the
+        oracle's PC column covers the overwhelmingly common case (on the
+        correct path, fully matched); a fragment already on the wrong
+        path matches nothing; anything else — divergence, stream end —
+        falls back to the per-instruction walk of :meth:`_tag_fragment`,
+        which starts from the same untouched ``_oracle_pos``."""
         soa = self._soa
         meta = soa.meta_for(fragment.static_frag)
         fragment.soa_meta = meta
-        n = len(meta.pcs)
         if self._diverged:
-            fragment.records = [None] * n
-            return
+            return  # FragmentInFlight starts with nothing matched
         pos = self._oracle_pos
-        end = pos + n
-        if end <= len(soa.oracle_pcs) \
-                and soa.oracle_pcs[pos:end] == meta.pcs:
-            fragment.records = list(zip(self._oracle[pos:end],
-                                        range(pos, end)))
+        end = pos + len(meta.pcs)
+        if soa.oracle_pcs[pos:end] == meta.pcs:
+            fragment.oracle_start = pos
+            fragment.matched = end - pos
             self._oracle_pos = end
             return
         self._tag_fragment(fragment)
 
     def _tag_fragment(self, fragment: FragmentInFlight) -> None:
-        """Bind fragment instructions to oracle records one at a time and
-        detect divergence (the fallback of :meth:`_tag`)."""
-        records: List[Optional[Tuple[DynamicInstruction, int]]] = []
-        append = records.append
-        oracle = self._oracle
-        limit = len(oracle)
-        pos = self._oracle_pos
-        diverged = self._diverged
-        for i, inst in enumerate(fragment.static_frag.instructions):
-            if not diverged and pos < limit and oracle[pos].pc == inst.addr:
-                append((oracle[pos], pos))
-                pos += 1
-            else:
-                if not diverged:
-                    self._oracle_pos = pos
-                    self._mark_divergence(fragment, i, records)
-                    diverged = True
-                append(None)
+        """Match fragment instructions against the oracle one at a time
+        and detect divergence (the fallback of :meth:`_tag`)."""
+        pcs = self._oracle.pc
+        limit = len(pcs)
+        start = pos = self._oracle_pos
+        for inst in fragment.static_frag.instructions:
+            if pos >= limit or pcs[pos] != inst.addr:
+                break
+            pos += 1
+        fragment.oracle_start = start
+        fragment.matched = pos - start
         self._oracle_pos = pos
-        fragment.records = records
+        if fragment.matched < len(fragment.static_frag.instructions):
+            self._mark_divergence(fragment, fragment.matched)
 
-    def _mark_divergence(self, fragment: FragmentInFlight, position: int,
-                         records: List) -> None:
+    def _mark_divergence(self, fragment: FragmentInFlight,
+                         position: int) -> None:
         self._diverged = True
         if self._oracle_pos >= len(self._oracle):
             return  # end of simulated stream, not a misprediction
         if position > 0:
             source_frag, source_pos = fragment, position - 1
-            source_entry = records[position - 1]
         else:
             if not self.fragments:
                 raise SimulationError("divergence with no prior fragment")
             source_frag = self.fragments[-1]
-            source_pos = len(source_frag.records) - 1
-            source_entry = source_frag.records[source_pos]
-            if source_entry is None:  # pragma: no cover - defensive
+            source_pos = len(source_frag.static_frag.instructions) - 1
+            if source_pos >= source_frag.matched:  # pragma: no cover
                 raise SimulationError("divergence source on wrong path")
-        target = source_entry[0].next_pc
+        target = self._oracle.next_pc[source_frag.oracle_start + source_pos]
         source_frag.mispredict_position = source_pos
         source_frag.mispredict_target = target
         self.stats.add("frontend.control_mispredicts")
@@ -541,7 +538,7 @@ class Processor:
         self._deferred_redirects = []
 
         for uop in completed:
-            if uop.record is None:
+            if uop.oracle_idx < 0:
                 continue  # wrong-path completion: no architectural effect
             if uop.redirect_target is not None:
                 if redirect_uop is None or uop.seq < redirect_uop.seq:
@@ -562,8 +559,8 @@ class Processor:
             return
         if uop.position != youngest.length - 1:
             return
-        assert uop.record is not None
-        self.control.redirect(uop.record.next_pc)
+        assert uop.oracle_idx >= 0
+        self.control.redirect(self._oracle.next_pc[uop.oracle_idx])
         self.stats.add("frontend.indirect_resolutions")
 
     def _recover(self, uop: MicroOp) -> None:
@@ -624,9 +621,12 @@ class Processor:
         # Keep speculative path history aligned with the retired fragment
         # sequence: the truncated fragment (with its *actual* direction
         # bits) is what retire-side training will see next.
+        start, taken = fragment.oracle_start, self._oracle.taken
+        insts = fragment.static_frag.instructions
         truncated_dirs = tuple(
-            entry[0].taken for entry in fragment.records[:position + 1]
-            if entry is not None and entry[0].inst.is_cond_branch)
+            _TAKEN[taken[start + p]]
+            for p in range(min(position + 1, fragment.matched))
+            if insts[p].is_cond_branch)
         self.trace_predictor.push_history(
             FragmentKey(fragment.key.start_pc, truncated_dirs))
         self._oracle_pos = uop.oracle_idx + 1
@@ -793,9 +793,9 @@ class Processor:
         its window slots with a single call, feeding the commit-side
         carver (predictor training) as it goes.  Batching is exact: (a)
         ``release(seq, k)`` clamps exactly like k single releases, (b)
-        the carver only consumes records in order, and (c) a truncated
-        fragment's flush point is always its last uop, so it can only
-        land at a batch end.
+        the carver only consumes oracle entries in order, and (c) a
+        truncated fragment's flush point is always its last uop, so it
+        can only land at a batch end.
         """
         budget = self.config.backend.commit_width
         committed = 0
@@ -805,6 +805,7 @@ class Processor:
         cond_limit = frag_cfg.cond_branch_limit
         max_len = frag_cfg.max_length
         bimodal_train = self.bimodal.train
+        taken = self._oracle.taken
         done_state = UopState.DONE
         committed_state = UopState.COMMITTED
         while budget > 0 and self.fragments:
@@ -824,35 +825,37 @@ class Processor:
             # One fused pass: scan for DONE and commit in the same loop
             # (the pre-scan and the processing loop walked the identical
             # contiguous run).  Carve state is kept in locals and only
-            # re-fetched after a flush rebinds the lists.
+            # re-fetched after a flush moves it on.  A committing uop's
+            # instruction is its oracle entry's, since tagging matched
+            # its PC.
             take = 0
-            carve_records = self._carve_records
+            carve_start = self._carve_start
             carve_dirs = self._carve_dirs
             for i in range(pos, end):
                 uop = uops[i]
                 if uop.state is not done_state:
                     break
-                record = uop.record
-                if record is None:  # pragma: no cover - invariant
+                index = uop.oracle_idx
+                if index < 0:  # pragma: no cover - invariant
                     raise SimulationError(
                         "attempted to commit wrong-path uop")
                 uop.state = committed_state
                 uop.commit_cycle = now
                 if uop_log is not None:
                     uop_log.append(uop)
-                carve_records.append(record)
-                inst = record.inst
+                inst = uop.inst
                 if inst.is_cond_branch:
-                    carve_dirs.append(record.taken)
-                    bimodal_train(record.pc, record.taken)
+                    direction = _TAKEN[taken[index]]
+                    carve_dirs.append(direction)
+                    bimodal_train(uop.pc, direction)
                 # Inlined should_terminate predicate (HALT / INDIRECT /
                 # COND_LIMIT / MAX_LENGTH, reason discarded).
-                n = len(carve_records)
+                n = index + 1 - carve_start
                 if (inst.is_halt or inst.is_indirect
                         or (inst.is_cond_branch and n > cond_limit)
                         or n >= max_len):
-                    self._carve_flush()
-                    carve_records = self._carve_records
+                    self._carve_flush(index + 1)
+                    carve_start = index + 1
                     carve_dirs = self._carve_dirs
                 take += 1
             if take == 0:
@@ -868,7 +871,7 @@ class Processor:
                 # fill/carve sequence restarts at the corrected PC, so the
                 # partial fragment is finalised as its own trace to keep
                 # predictor training aligned with what fetch sees.
-                self._carve_flush()
+                self._carve_flush(self._committed)
             if self._committed >= self._stop_at:
                 self._done = True
                 break
@@ -890,24 +893,26 @@ class Processor:
 
     # -- commit-side carver (predictor training) ----------------------------
 
-    def _carve_flush(self) -> None:
-        """Finalise the in-progress retired fragment and train predictors."""
-        if not self._carve_records:
+    def _carve_flush(self, end: int) -> None:
+        """Finalise the retired fragment ending before oracle index *end*
+        and train the predictors on it.
+
+        Its live-outs come through the stream's live-out memo, shared
+        with the warm walk and every co-sim sibling; on a miss they are
+        computed from the carve's instructions.
+        """
+        start = self._carve_start
+        if end <= start:
             return
-        records = self._carve_records
-        key = FragmentKey(records[0].pc, tuple(self._carve_dirs))
+        pcs = self._oracle.pc
+        key = FragmentKey(pcs[start], tuple(self._carve_dirs))
         self.trace_predictor.train(key)
-        memo = self._liveout_memo
-        memo_key = (key, len(records))
-        info = memo.get(memo_key)
-        if info is None:
-            if len(memo) >= 8192:
-                memo.clear()
-            info = compute_liveouts([r.inst for r in records])
-            memo[memo_key] = info
+        info = memo_liveouts(
+            self._oracle.liveouts, key, end - start,
+            lambda: list(self.program.insts_at(pcs[start:end])))
         self.liveout_predictor.train(key, info)
         self.stats.add("commit.trained_fragments")
-        self._carve_records = []
+        self._carve_start = end
         self._carve_dirs = []
 
     # -- results -----------------------------------------------------------
@@ -924,7 +929,8 @@ class Processor:
 
     @property
     def stream_length(self) -> int:
-        """Total oracle records to commit (NOPs already eliminated)."""
+        """Total oracle instructions to commit (NOPs already
+        eliminated)."""
         return len(self._oracle)
 
     def stamp_summary(self, timed_out: bool = False) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.emulator.stream import DynamicInstruction
 from repro.isa.instructions import Instruction, OpClass
 from repro.isa.registers import ZERO_REG
 
@@ -210,27 +209,29 @@ Producer = Union["MicroOp", PlaceholderProducer]
 
 
 class MicroOp:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction.
+
+    A correct-path uop is bound to its oracle entry by index
+    (``oracle_idx``): the processor reads the entry's ``next_pc``,
+    ``taken`` and ``ea`` from the oracle's columns.
+    """
 
     __slots__ = (
-        "seq", "inst", "pc", "fragment_seq", "position", "record",
+        "seq", "inst", "pc", "fragment_seq", "position",
         "state", "sources", "complete_cycle", "renamed_cycle",
         "dispatch_ready_cycle", "consumers", "pending", "oracle_idx",
         "redirect_target", "issue_cycle", "commit_cycle", "decoded",
     )
 
     def __init__(self, seq: int, inst: Instruction, pc: int,
-                 fragment_seq: int, position: int,
-                 record: Optional[DynamicInstruction],
-                 decoded: DecodedUop):
+                 fragment_seq: int, position: int, decoded: DecodedUop,
+                 oracle_idx: int = -1):
         self.seq = seq
         self.inst = inst
         self.pc = pc
         self.fragment_seq = fragment_seq
         #: Index of this uop within its fragment (0-based, non-NOP).
         self.position = position
-        #: Oracle record when on the correct path, else None (wrong path).
-        self.record = record
         #: Decode metadata, shared by every instance of the static
         #: instruction (see :class:`DecodeCache`).
         self.decoded = decoded
@@ -244,8 +245,9 @@ class MicroOp:
         self.consumers: List["MicroOp"] = []
         #: Number of source producers not yet complete (window state).
         self.pending = 0
-        #: Position in the processor's non-NOP oracle stream, or -1.
-        self.oracle_idx = -1
+        #: Position in the processor's NOP-free oracle stream, or -1 on
+        #: the wrong path.
+        self.oracle_idx = oracle_idx
         #: When set, completing this uop redirects fetch to this PC
         #: (control misprediction resolution).
         self.redirect_target: Optional[int] = None
@@ -257,8 +259,8 @@ class MicroOp:
 
     @property
     def on_correct_path(self) -> bool:
-        """Whether this uop has an oracle record (correct-path)."""
-        return self.record is not None
+        """Whether this uop is bound to an oracle entry (correct path)."""
+        return self.oracle_idx >= 0
 
     @property
     def op_class(self) -> OpClass:
@@ -279,10 +281,6 @@ class MicroOp:
             elif producer.state not in (UopState.DONE, UopState.COMMITTED):
                 return False
         return True
-
-    def actual_next_pc(self) -> Optional[int]:
-        """Architecturally-correct next PC (None on the wrong path)."""
-        return self.record.next_pc if self.record is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         path = "C" if self.on_correct_path else "W"

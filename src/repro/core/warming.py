@@ -29,14 +29,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from repro.emulator.stream import DynamicInstruction
-from repro.frontend.fragments import (
-    DynamicFragment,
-    FragmentKey,
-    TerminationReason,
-    should_terminate,
-)
-from repro.predictors.liveout import compute_liveouts
+from repro.emulator.stream import ColumnStream
+from repro.frontend.fragments import FragmentKey, should_terminate
+from repro.isa.instructions import Instruction
+from repro.predictors.liveout import memo_liveouts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.processor import Processor
@@ -45,9 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class WarmingState:
     """Resumable functional warming over stream chunks.
 
-    Feed the dynamic stream through :meth:`feed` in any number of chunks
-    (one call with the whole stream is the classic pre-run warming), then
-    :meth:`finish` exactly once before the first timed cycle.  The
+    Feed the dynamic stream through :meth:`feed` in any number of
+    chunks — contiguous :class:`~repro.emulator.stream.ColumnStream`
+    slices, in order (one call with the whole stream is the classic
+    pre-run warming) — then :meth:`finish` exactly once before the
+    first timed cycle.  The
     sampling engine instead interleaves :meth:`feed` calls with detailed
     measurement windows and never calls :meth:`finish` — it drops
     carve-in-progress state at window boundaries via
@@ -61,10 +59,15 @@ class WarmingState:
     def __init__(self, processor: "Processor"):
         self.processor = processor
         self._config = processor.config.fragment
-        # Carve-in-progress state (records/directions of the pending,
-        # not-yet-terminated fragment) — carried across feed() calls.
-        self._records: List[DynamicInstruction] = []
+        # Carve-in-progress state (start PC, instructions and directions
+        # of the pending, not-yet-terminated fragment) — carried across
+        # feed() calls, whose chunks are separate column streams.
+        self._start_pc = 0
+        self._insts: List[Instruction] = []
         self._directions: List[bool] = []
+        #: The stream's live-out memo, which the processor's commit
+        #: carver shares.
+        self._liveouts = processor.shared.oracle.liveouts
         # Last I-line touched, carried so a fragment of straight-line
         # code split across chunks still fills each line exactly once.
         self._seen_line = -1
@@ -72,10 +75,10 @@ class WarmingState:
 
     # -- incremental warming ------------------------------------------------
 
-    def feed(self, chunk: Iterable[DynamicInstruction]) -> None:
+    def feed(self, chunk: ColumnStream) -> None:
         """Warm all structures with the next *chunk* of the stream.
 
-        Records must arrive in stream order across calls; NOPs are kept
+        Chunks must arrive in stream order across calls; NOPs are kept
         for cache touches and ignored everywhere else, exactly as in the
         whole-stream pass.
         """
@@ -84,41 +87,41 @@ class WarmingState:
         processor = self.processor
         bimodal = processor.bimodal
         memory = processor.memory
-        records = self._records
+        insts = self._insts
         directions = self._directions
         seen_line = self._seen_line
         config = self._config
 
-        for record in chunk:
+        for pc, inst, taken, ea, has_ea in zip(
+                chunk.pc, chunk.program.insts_at(chunk.pc), chunk.taken,
+                chunk.ea, chunk.has_ea):
             # Caches: touch lines in reference order so LRU is realistic.
-            line = record.pc >> 6
+            line = pc >> 6
             if line != seen_line:
-                memory.l2.fill(record.pc)
-                memory.l1i.fill(record.pc)
+                memory.l2.fill(pc)
+                memory.l1i.fill(pc)
                 seen_line = line
-            if record.ea is not None:
-                memory.l2.fill(record.ea)
-                memory.l1d.fill(record.ea)
+            if has_ea:
+                memory.l2.fill(ea)
+                memory.l1d.fill(ea)
 
-            inst = record.inst
             if inst.is_nop:
                 continue
 
             # Branch outcome predictor.
             if inst.is_cond_branch:
-                bimodal.train(record.pc, record.taken)
-                directions.append(record.taken)
+                direction = taken == 1
+                bimodal.train(pc, direction)
+                directions.append(direction)
 
             # Fragment carving (same termination rules as carve_stream).
-            records.append(record)
-            reason = should_terminate(inst, len(records), config)
-            if reason is not None:
-                key = FragmentKey(records[0].pc, tuple(directions))
-                next_pc = (None if reason in (TerminationReason.INDIRECT,
-                                              TerminationReason.HALT)
-                           else record.next_pc)
-                self._train(DynamicFragment(key, records, reason, next_pc))
-                records = self._records = []
+            if not insts:
+                self._start_pc = pc
+            insts.append(inst)
+            if should_terminate(inst, len(insts), config) is not None:
+                self._train(FragmentKey(self._start_pc, tuple(directions)),
+                            insts)
+                insts = self._insts = []
                 directions = self._directions = []
 
         self._seen_line = seen_line
@@ -149,22 +152,22 @@ class WarmingState:
             else:
                 l1d_fill(addr)
 
-    def _train(self, fragment: DynamicFragment) -> None:
+    def _train(self, key: FragmentKey, insts: List[Instruction]) -> None:
         """Train the fragment-sequence predictors on a carved fragment,
         exactly as the commit-side carver would."""
         processor = self.processor
-        processor.trace_predictor.train(fragment.key)
+        processor.trace_predictor.train(key)
         processor.liveout_predictor.train(
-            fragment.key,
-            compute_liveouts([r.inst for r in fragment.records]))
+            key, memo_liveouts(self._liveouts, key, len(insts),
+                               lambda: insts))
         if processor.trace_cache is not None:
-            processor.trace_cache.insert(fragment.key)
+            processor.trace_cache.insert(key)
         # Pure-cache prewarm: walk caches, decode cache, SoA metadata and
         # chunk tables for the key the predictors just trained on — these
         # are keyed pure functions, so prebuilding them is as invisible
         # to the timed run as the predictor training above (repeat keys
         # cost only a memo probe).
-        processor.prewarm_fragment_key(fragment.key)
+        processor.prewarm_fragment_key(key)
 
     def flush(self) -> None:
         """Train the trailing truncated fragment, if one is pending.
@@ -172,12 +175,10 @@ class WarmingState:
         Matches :func:`repro.frontend.fragments.carve_stream`, which
         emits the final partial fragment with ``STREAM_END``.
         """
-        if self._records:
-            key = FragmentKey(self._records[0].pc, tuple(self._directions))
-            self._train(DynamicFragment(key, self._records,
-                                        TerminationReason.STREAM_END,
-                                        self._records[-1].next_pc))
-            self._records = []
+        if self._insts:
+            self._train(FragmentKey(self._start_pc, tuple(self._directions)),
+                        self._insts)
+            self._insts = []
             self._directions = []
 
     def discard_partial(self) -> int:
@@ -187,10 +188,10 @@ class WarmingState:
         the window's commit carver re-carves from the window start, so
         training the artificial boundary fragment here would either
         double-train or train a fragment the full-detail run never sees.
-        Returns the number of records dropped.
+        Returns the number of instructions dropped.
         """
-        dropped = len(self._records)
-        self._records = []
+        dropped = len(self._insts)
+        self._insts = []
         self._directions = []
         return dropped
 
@@ -211,29 +212,28 @@ class WarmingState:
         self.processor.trace_predictor.restore_history(())
 
 
-def cache_touches(records: Iterable[DynamicInstruction],
+def cache_touches(chunk: ColumnStream,
                   seen_line: int = -1) -> List[Tuple[int, bool]]:
-    """The cache touches :meth:`WarmingState.feed` makes for *records*.
+    """The cache touches :meth:`WarmingState.feed` makes for *chunk*.
 
     ``(address, is_instruction)`` in stream order: an instruction-side
     touch whenever the I-line changes, a data-side touch per memory
-    record.  *seen_line* is the I-line carried in from the previous
-    chunk (the last record's ``pc >> 6``; -1 at the start of a run).
+    instruction.  *seen_line* is the I-line carried in from the previous
+    chunk (the last PC's ``pc >> 6``; -1 at the start of a run).
     """
     touches: List[Tuple[int, bool]] = []
     append = touches.append
-    for record in records:
-        line = record.pc >> 6
+    for pc, ea, has_ea in zip(chunk.pc, chunk.ea, chunk.has_ea):
+        line = pc >> 6
         if line != seen_line:
-            append((record.pc, True))
+            append((pc, True))
             seen_line = line
-        if record.ea is not None:
-            append((record.ea, False))
+        if has_ea:
+            append((ea, False))
     return touches
 
 
-def warm_donor_group(donors: Sequence,
-                     stream: Sequence[DynamicInstruction]) -> None:
+def warm_donor_group(donors: Sequence, stream: ColumnStream) -> None:
     """Train every structure the *donors* hold, each once, on *stream*.
 
     The warm-snapshot training path (:mod:`repro.sampling.prep`): the
@@ -247,9 +247,11 @@ def warm_donor_group(donors: Sequence,
     donors hold trains once, and observes exactly the update sequence a
     solo :func:`warm_processor` pass would apply, so its end state is
     bit-identical (asserted by the parity tests).  The walk is two
-    loops, each skipped when nothing needs it: the cache touches, then
-    branch training and carving (no structure's updates depend on
-    another's, so the two need not interleave).
+    loops over the stream's columns, each skipped when nothing needs it:
+    the cache touches, then branch training and carving (no structure's
+    updates depend on another's, so the two need not interleave).  A
+    carve's live-outs come through the stream's live-out memo, which
+    the commit carvers of every processor on the stream share.
 
     All donors must share one :class:`~repro.config.FragmentConfig`;
     callers group by it (:func:`repro.sampling.prep.warm_group_snapshots`).
@@ -281,11 +283,14 @@ def warm_donor_group(donors: Sequence,
     data_fills = l2_fills + [cache.fill for cache in distinct("l1d")]
     carve = bool(predictors or liveouts or trace_caches)
 
-    def train(key: FragmentKey, records: List[DynamicInstruction]) -> None:
+    pcs = stream.pc
+
+    def train(key: FragmentKey, insts: List[Instruction]) -> None:
         for predictor in predictors:
             predictor.train(key)
         if liveouts:
-            info = compute_liveouts([r.inst for r in records])
+            info = memo_liveouts(stream.liveouts, key, len(insts),
+                                 lambda: insts)
             for liveout in liveouts:
                 liveout.train(key, info)
         for trace_cache in trace_caches:
@@ -293,37 +298,40 @@ def warm_donor_group(donors: Sequence,
 
     if inst_fills or data_fills:
         seen_line = -1
-        for record in stream:
-            line = record.pc >> 6
+        for pc, ea, has_ea in zip(pcs, stream.ea, stream.has_ea):
+            line = pc >> 6
             if line != seen_line:
                 for fill in inst_fills:
-                    fill(record.pc)
+                    fill(pc)
                 seen_line = line
-            if data_fills and record.ea is not None:
+            if has_ea and data_fills:
                 for fill in data_fills:
-                    fill(record.ea)
+                    fill(ea)
 
     if bimodal_trains or carve:
-        records: List[DynamicInstruction] = []
+        start_pc = 0
+        insts: List[Instruction] = []
         directions: List[bool] = []
-        for record in stream:
-            inst = record.inst
+        for pc, inst, taken in zip(pcs, stream.program.insts_at(pcs),
+                                   stream.taken):
             if inst.is_nop:
                 continue
             if inst.is_cond_branch:
+                direction = taken == 1
                 for bimodal_train in bimodal_trains:
-                    bimodal_train(record.pc, record.taken)
+                    bimodal_train(pc, direction)
                 if carve:
-                    directions.append(record.taken)
+                    directions.append(direction)
             if carve:
-                records.append(record)
-                if should_terminate(inst, len(records), config) is not None:
-                    train(FragmentKey(records[0].pc, tuple(directions)),
-                          records)
-                    records = []
+                if not insts:
+                    start_pc = pc
+                insts.append(inst)
+                if should_terminate(inst, len(insts), config) is not None:
+                    train(FragmentKey(start_pc, tuple(directions)), insts)
+                    insts = []
                     directions = []
-        if records:
-            train(FragmentKey(records[0].pc, tuple(directions)), records)
+        if insts:
+            train(FragmentKey(start_pc, tuple(directions)), insts)
 
     for stats in {id(donor.stats): donor.stats for donor in donors}.values():
         stats.reset()
@@ -331,13 +339,12 @@ def warm_donor_group(donors: Sequence,
         predictor.restore_history(())
 
 
-def warm_processor(processor: "Processor",
-                   stream: Sequence[DynamicInstruction],
+def warm_processor(processor: "Processor", stream: ColumnStream,
                    chunk_size: Optional[int] = None) -> None:
     """Warm *processor*'s predictors and caches with *stream*.
 
     Must be called before the first timing cycle.  *chunk_size* feeds the
-    stream through :class:`WarmingState` in slices of that many records —
+    stream through :class:`WarmingState` in slices of that many entries —
     the result is bit-identical to the default whole-stream pass; the
     parameter exists for parity testing and has no behavioural effect.
     """

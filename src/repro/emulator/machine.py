@@ -11,9 +11,10 @@ its source registers, masked immediate, destination and successor PCs
 already bound, kept in the machine's ``pc -> handler`` table.  A handler
 applies the instruction's architectural update and returns
 ``(next_pc, taken, ea)``.  :meth:`Machine.run` keeps only that triple
-per instruction (each PC is the previous one's ``next_pc``) and builds
-the dynamic records in one bulk pass at the end
-(:func:`~repro.emulator.stream.build_records`).
+per instruction (each PC is the previous one's ``next_pc``) and
+transposes the triples into the columns of a
+:class:`~repro.emulator.stream.ColumnStream` at the end, in C-level
+passes; it builds no per-instruction record.
 
 Arithmetic is 64-bit two's complement.  FP registers hold Python floats;
 the integer benchmarks the paper evaluates barely touch them, so bit-exact
@@ -24,13 +25,16 @@ from __future__ import annotations
 
 import operator
 import weakref
+from itertools import repeat
+from operator import is_not
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import EmulationError
 from repro.emulator.stream import (
+    ColumnStream,
     DynamicInstruction,
     ExecutionResult,
-    build_records,
+    address_column,
     gc_paused,
 )
 from repro.isa.instructions import Instruction, Opcode
@@ -99,9 +103,10 @@ class Machine:
         so truncation (not halting) is the normal outcome.  Runs with the
         cyclic collector paused (:func:`~repro.emulator.stream.gc_paused`).
 
-        Records are numbered on from the instructions already executed.
-        When an instruction raises, the machine is left as it was before
-        that instruction: ``pc`` names it and it is not counted.
+        The stream is numbered on from the instructions already
+        executed.  When an instruction raises, the machine is left as it
+        was before that instruction: ``pc`` names it and it is not
+        counted.
         """
         handlers = self._handlers
         decode = self._decode
@@ -123,8 +128,10 @@ class Machine:
             next_pcs, taken, eas = zip(*outcomes) if outcomes else ((),) * 3
             # Each instruction starts where the one before it went.
             pcs = ((start,) + next_pcs)[:len(next_pcs)]
-            stream = build_records(self.program, first, pcs, next_pcs,
-                                   taken, eas)
+            stream = ColumnStream(
+                self.program, address_column(pcs), address_column(next_pcs),
+                bytes(taken), address_column([ea or 0 for ea in eas]),
+                bytes(map(is_not, eas, repeat(None))), first)
         return ExecutionResult(stream, list(self.outputs), self.halted)
 
     def _decode(self, pc: int) -> Handler:

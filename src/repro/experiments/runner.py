@@ -75,6 +75,7 @@ from typing import (
 from repro import faults
 from repro.config import ProcessorConfig, env_flag, frontend_config
 from repro.core.simulation import SimulationResult, run_simulation
+from repro.sampling import prep
 from repro.sampling.engine import SamplingConfig
 from repro.errors import SweepError
 from repro.stats import StatsCollector, ThreadSafeStatsCollector
@@ -977,7 +978,10 @@ def run_sweep(jobs: Sequence[SweepJob],
     (:mod:`repro.sampling.prep`) are process-local, and scattering
     stream-siblings across workers rebuilds them per worker.  Each group
     runs in a fresh worker process, which exits with everything the
-    group loaded; scattered sweeps keep their workers.  Grouping
+    group loaded; scattered sweeps keep their workers.  On the serial
+    path the last group of each benchmark frees that benchmark's
+    stream state (:func:`repro.sampling.prep.forget_benchmark`), so
+    the calling process, too, holds one stream at a time.  Grouping
     never changes results — only worker placement — and the merge stays
     in submission order, so grouped and ungrouped sweeps produce
     identical reports (the test suite asserts this).  Group sizes are
@@ -1130,9 +1134,16 @@ def run_sweep(jobs: Sequence[SweepJob],
                 # Serial (or degraded) path: groups still run as groups
                 # — sharing prep work and co-simulating exactly like a
                 # pool worker would — so single-stream sweeps (where the
-                # worker clamp lands on 1) get the same savings.
-                for group in groups:
+                # worker clamp lands on 1) get the same savings.  Like
+                # a pool worker's exit, the last group on a benchmark
+                # frees its stream state, so the process holds one
+                # stream at a time.
+                last_group = {group[0].benchmark: index
+                              for index, group in enumerate(groups)}
+                for index, group in enumerate(groups):
                     run_group_inline(group)
+                    if last_group[group[0].benchmark] == index:
+                        prep.forget_benchmark(group[0].benchmark)
             else:
                 # A timeout needs per-job kill-able pools: every job
                 # goes through the inline attempt loop below, first

@@ -35,7 +35,7 @@ class FragmentInFlight:
         "history_snapshot", "ras_snapshot", "reused", "stalled_for_indirect",
         "outgoing_predicted", "outgoing_actual",
         "mispredict_position", "mispredict_target",
-        "committed_count", "records",
+        "committed_count", "oracle_start", "matched",
         "alloc_cycle", "fetch_start_cycle", "fetch_sequencer",
         "rename_done_cycle", "_static_len", "soa_meta",
     )
@@ -108,9 +108,12 @@ class FragmentInFlight:
         self.mispredict_position: Optional[int] = None
         self.mispredict_target: Optional[int] = None
 
-        #: Oracle records per instruction position (None = wrong path);
-        #: assigned by the processor when the fragment is created.
-        self.records: List[object] = []
+        #: Oracle binding, set by the processor's tagging when the
+        #: fragment is created: positions ``p < matched`` are on the
+        #: correct path, bound to oracle index ``oracle_start + p``; the
+        #: rest (a suffix) are on the wrong path.
+        self.oracle_start = 0
+        self.matched = 0
         #: Number of this fragment's uops that have committed.
         self.committed_count = 0
 

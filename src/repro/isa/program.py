@@ -8,7 +8,7 @@ objects plus an initialised data segment and a symbol table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ReproError
 from repro.isa.instructions import INSTRUCTION_BYTES, Instruction
@@ -94,6 +94,12 @@ class Program:
             self.index_of(addr)  # raises the precise diagnostic
             raise ReproError(f"unaligned PC {addr:#x}")  # pragma: no cover
         return inst
+
+    def insts_at(self, addrs: Iterable[int]) -> Iterator[Instruction]:
+        """:meth:`inst_at` over *addrs*, in one C-level pass.  For
+        addresses already known to hold instructions (a checked stream's
+        PCs): any other raises ``KeyError``."""
+        return map(self._by_addr.__getitem__, addrs)
 
     def iter_from(self, addr: int) -> Iterator[Instruction]:
         """Iterate instructions in static order starting at *addr*."""

@@ -17,11 +17,14 @@ checkpoint, and drives it in ``run_until``/``restart_at`` segments:
   windows, unit-lockstep over the whole group.
 
 What is a pure function of the *stream* is computed once per group: one
-:class:`~repro.perf.soa.SharedStream` (NOP-free oracle, decode cache,
-SoA PC table, per-fragment-config metadata and fragment-walk memos),
-one warm-training walk per fragment config that trains each distinct
-warm structure once (:func:`repro.sampling.prep.warm_group_snapshots`),
-and in sampled mode one cache-touch list per functional gap.  Everything
+:class:`~repro.perf.soa.SharedStream` (the NOP-free oracle's columns and
+raw-position map, decode cache, per-fragment-config metadata and
+fragment-walk memos), one warm-training walk per fragment config that
+trains each distinct warm structure once
+(:func:`repro.sampling.prep.warm_group_snapshots`), one live-out memo
+that walk and every sibling's commit carver share (the stream's
+``liveouts``), and in sampled mode one cache-touch list per functional
+gap.  Everything
 config-dependent — predictors, rename state, window, caches' *contents*,
 stats — stays per processor, so results (counters included) are
 bit-identical to serial per-config runs in every mode; the parity tests

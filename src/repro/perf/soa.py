@@ -4,16 +4,16 @@ Most per-instruction facts the pipeline needs are the same for every
 dynamic instance of a static fragment.  The cycle loop hoists everything
 that is a pure function of the *static* fragment into a
 :class:`FragMeta` built once per
-:class:`~repro.frontend.fragments.StaticFragment`, and flattens
-the oracle stream's PCs into one preallocated list so tagging a fragment
-becomes a single slice comparison, rename builds uops from per-position
-arrays and commit releases window slots once per batch.
+:class:`~repro.frontend.fragments.StaticFragment`, and reads the oracle
+stream as columns, so tagging a fragment is a single slice comparison
+of PC arrays, rename builds uops from per-position arrays and commit
+releases window slots once per batch.
 
 Index linkage invariants (see ``docs/DATA_LAYOUT.md`` for the full
 memory model):
 
-* ``SoAState.oracle_pcs[i]`` is the PC of oracle record ``i`` — the
-  flat mirror of ``Processor._oracle``; positions never move.
+* ``SoAState.oracle_pcs[i]`` is the PC of NOP-free oracle entry ``i``
+  — the ``pc`` column of ``Processor._oracle``; positions never move.
 * ``FragMeta.pcs/srcs/dest/decoded[p]`` describe static instruction
   position ``p`` of one fragment; a fragment's dynamic uop at position
   ``p`` is built from exactly these entries.
@@ -27,10 +27,11 @@ memory model):
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.uop import DecodeCache, DecodedUop
-from repro.emulator.stream import DynamicInstruction
+from repro.emulator.stream import ColumnStream, address_column
 from repro.frontend.control import WalkMemos
 from repro.frontend.fragments import FragmentKey, StaticFragment
 
@@ -80,7 +81,9 @@ class FragMeta:
             plan.append(tuple(lw_get(r, -(r + 1)) for r in srcs))
             if dest is not None:
                 last_write[dest] = p
-        self.pcs = pcs
+        #: An address array, like the oracle's ``pc`` column, so the
+        #: tagging compare takes the arrays' fast path.
+        self.pcs = address_column(pcs)
         self.decoded = decoded
         self.srcs = srcs_l
         self.dest = dest_l
@@ -102,8 +105,11 @@ class SharedStream:
     identity.  The co-simulation engine (:mod:`repro.perf.cosim`) builds
     one per group; a processor given none builds its own.  It holds:
 
-    * the NOP-free oracle (``Processor._oracle``) and its flattened PC
-      table (``SoAState.oracle_pcs``);
+    * the NOP-free oracle (``Processor._oracle``), a
+      :class:`~repro.emulator.stream.ColumnStream` whose columns the
+      processor reads by index, and ``raw_index``, the raw-stream
+      position of each of its entries (sampled gaps replay raw ranges,
+      NOPs included);
     * one :class:`~repro.core.uop.DecodeCache` — decode is pure per PC
       and instruction identity, and its hit/miss counters never reach
       :class:`~repro.core.simulation.SimulationResult`;
@@ -115,17 +121,14 @@ class SharedStream:
       sampled window.
     """
 
-    __slots__ = ("decode_cache", "oracle", "oracle_pcs", "stream_length",
+    __slots__ = ("decode_cache", "oracle", "raw_index", "stream_length",
                  "_by_fragment")
 
-    def __init__(self, stream: List[DynamicInstruction]):
+    def __init__(self, stream: ColumnStream):
         self.decode_cache = DecodeCache()
-        #: The non-NOP records: NOPs are eliminated before they reach
-        #: any pipeline statistic.
-        self.oracle: List[DynamicInstruction] = [
-            r for r in stream if not r.inst.is_nop]
-        #: PCs of ``oracle``, for slice comparison.
-        self.oracle_pcs: List[int] = [r.pc for r in self.oracle]
+        #: The NOP-free stream (NOPs are eliminated before they reach
+        #: any pipeline statistic) and the raw position of each entry.
+        self.oracle, self.raw_index = stream.without_nops()
         #: Length of the raw stream this was built from.
         self.stream_length = len(stream)
         self._by_fragment: Dict[
@@ -157,11 +160,11 @@ class SoAState:
     _META_CAP = 8192
 
     def __init__(self, shared: SharedStream, fragment_config: object):
-        # One PC table and FragMeta dict per stream and fragment config,
+        # One PC column and FragMeta dict per stream and fragment config,
         # shared by every processor on the stream: both are pure per
         # (stream, fragment config, decode cache), so sharing is exact.
-        #: PC of every oracle record, flattened for slice comparison.
-        self.oracle_pcs: List[int] = shared.oracle_pcs
+        #: PC of every NOP-free oracle entry, for slice comparison.
+        self.oracle_pcs: array = shared.oracle.pc
         self._cache = shared.decode_cache
         self._meta: Dict[FragmentKey, FragMeta] = shared.meta_for(
             fragment_config)

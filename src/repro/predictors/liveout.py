@@ -18,7 +18,8 @@ Table 1's default is 4K entries, 2-way, 4-bit tags (84 bits/entry, 42 KB).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.config import LiveOutPredictorConfig
 from repro.frontend.fragments import FragmentKey
@@ -68,6 +69,33 @@ def compute_liveouts(instructions: Sequence[Instruction]) -> LiveOutInfo:
         regs_bitmap |= 1 << reg
         writes_bitmap |= 1 << position
     return LiveOutInfo(regs_bitmap, writes_bitmap, len(instructions))
+
+
+#: Entries a live-out memo keeps before it is wiped (a safety bound: a
+#: stream revisits far fewer carve shapes).
+LIVEOUT_MEMO_CAP = 8192
+
+
+def memo_liveouts(memo: Dict[Tuple[FragmentKey, int], LiveOutInfo],
+                  key: FragmentKey, length: int,
+                  instructions: Callable[[], Sequence[Instruction]]
+                  ) -> LiveOutInfo:
+    """The ground-truth live-outs of a carve, through *memo*.
+
+    A carve is keyed by its fragment key and *length*: within one
+    program, the start PC, the direction bits and the length fix its
+    instructions (an indirect always ends a carve), and
+    :class:`LiveOutInfo` is immutable, so one entry serves every carve
+    of that shape exactly.  *instructions* returns the carve's
+    instructions; it is called on a miss only.
+    """
+    memo_key = (key, length)
+    info = memo.get(memo_key)
+    if info is None:
+        if len(memo) >= LIVEOUT_MEMO_CAP:
+            memo.clear()
+        info = memo[memo_key] = compute_liveouts(instructions())
+    return info
 
 
 class _SetEntry(NamedTuple):

@@ -3,8 +3,9 @@
 A renamer consumes instructions from in-flight fragments (in fragment
 order) and produces :class:`~repro.core.uop.MicroOp` objects whose sources
 are linked to their producers.  It builds each uop from the fragment's
-precomputed :class:`~repro.perf.soa.FragMeta` and its oracle ``records``
-and owns the dataflow linking and the rename *timing*.
+precomputed :class:`~repro.perf.soa.FragMeta` and its oracle binding
+(``oracle_start``, ``matched``) and owns the dataflow linking and the
+rename *timing*.
 """
 
 from __future__ import annotations

@@ -85,8 +85,10 @@ class MonolithicRenamer:
                     insts = meta.insts
                     pcs, dec_l = meta.pcs, meta.decoded
                     srcs_l, dest_l = meta.srcs, meta.dest
-                    records = fragment.records
-                    rec_len = len(records)
+                    # Positions below ``matched`` are on the correct
+                    # path, bound to consecutive oracle entries.
+                    matched = fragment.matched
+                    oracle_base = fragment.oracle_start
                     uops = fragment.uops
                     writers = fragment.internal_writers
                     fseq = fragment.seq
@@ -102,12 +104,9 @@ class MonolithicRenamer:
                         uop.pc = pcs[p]
                         uop.fragment_seq = fseq
                         uop.position = p
-                        entry = records[p] if p < rec_len else None
-                        if entry is not None:
-                            uop.record = entry[0]
-                            uop.oracle_idx = entry[1]
+                        if p < matched:
+                            uop.oracle_idx = oracle_base + p
                         else:
-                            uop.record = None
                             uop.oracle_idx = -1
                             wrong += 1
                         uop.decoded = dec_l[p]

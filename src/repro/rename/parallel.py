@@ -213,8 +213,10 @@ class ParallelRenamer:
             insts = meta.insts
             pcs, dec_l = meta.pcs, meta.decoded
             plan_l, dest_l = meta.src_plan, meta.dest
-            records = fragment.records
-            rec_len = len(records)
+            # Positions below ``matched`` are on the correct path, bound
+            # to consecutive oracle entries.
+            matched = fragment.matched
+            oracle_base = fragment.oracle_start
             uops = fragment.uops
             writers = fragment.internal_writers
             incoming = fragment.incoming_map
@@ -242,12 +244,9 @@ class ParallelRenamer:
                 uop.pc = pcs[p]
                 uop.fragment_seq = fseq
                 uop.position = p
-                entry = records[p] if p < rec_len else None
-                if entry is not None:
-                    uop.record = entry[0]
-                    uop.oracle_idx = entry[1]
+                if p < matched:
+                    uop.oracle_idx = oracle_base + p
                 else:
-                    uop.record = None
                     uop.oracle_idx = -1
                     wrong += 1
                 uop.decoded = dec_l[p]

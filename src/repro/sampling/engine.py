@@ -15,9 +15,9 @@ LRU recency (:meth:`WarmingState.feed_caches`) — the predictors are
 already at steady state and re-training them through the gaps measurably
 buys nothing while costing most of the sampled run's wall clock.  In the
 pure-SMARTS mode (``warm=False``) gaps do full functional warming, and
-every oracle record then trains the predictors through exactly one path:
-the functional warmer (gap records) or the commit-side carver
-(detailed-window records) — never both.
+every oracle instruction then trains the predictors through exactly one
+path: the functional warmer (gap instructions) or the commit-side carver
+(detailed-window instructions) — never both.
 
 The per-unit CPIs are aggregated per SMARTS (Wunderlich et al., ISCA
 2003): the CPI estimate is the mean of per-unit CPIs and the result
@@ -36,7 +36,7 @@ from repro.config import env_int
 from repro.core.processor import Processor
 from repro.core.simulation import SimulationResult
 from repro.core.warming import WarmingState, cache_touches
-from repro.emulator.stream import DynamicInstruction
+from repro.emulator.stream import ColumnStream
 from repro.errors import ReproError
 from repro.stats import StatsCollector
 
@@ -155,19 +155,13 @@ def _cpi_stats(unit_cycles: Sequence[int],
     return cpi_mean, cpi_std, halfwidth
 
 
-def unit_geometry(oracle: Sequence[DynamicInstruction],
-                  sampling: SamplingConfig
-                  ) -> Tuple[List[int], int, int, List[int]]:
-    """Sampling-unit geometry over *oracle*.
+def unit_geometry(total: int, sampling: SamplingConfig
+                  ) -> Tuple[int, List[int]]:
+    """Sampling-unit geometry over *total* NOP-free instructions.
 
-    Returns ``(raw_pos, total, total_units, measured_units)``: the
-    non-NOP→raw index map, the non-NOP instruction count, the unit
-    count, and the measured unit indices.  Pure per (stream, sampling
-    config) — the co-simulation engine computes it once per group.
+    Returns ``(total_units, measured_units)``: the unit count and the
+    measured unit indices.
     """
-    raw_pos = [i for i, record in enumerate(oracle)
-               if not record.inst.is_nop]
-    total = len(raw_pos)
     if total == 0:
         raise ReproError("cannot sample an empty oracle stream")
     unit = sampling.unit
@@ -176,7 +170,7 @@ def unit_geometry(oracle: Sequence[DynamicInstruction],
                       if j % sampling.period == sampling.period - 1]
     if not measured_units:  # stream shorter than one period: measure last
         measured_units = [total_units - 1]
-    return raw_pos, total, total_units, measured_units
+    return total_units, measured_units
 
 
 @dataclass
@@ -292,7 +286,7 @@ def finalize_sampled(processor: Processor, acc: SampleAccum,
 
 
 def run_sampled(processors: Sequence[Processor],
-                oracle: Sequence[DynamicInstruction],
+                oracle: ColumnStream,
                 sampling: SamplingConfig,
                 names: Sequence[str],
                 benchmark: str,
@@ -331,11 +325,13 @@ def run_sampled(processors: Sequence[Processor],
     """
     from repro import checkpoint as ckpt
 
-    # Unit geometry is over the non-NOP stream (the processor's commit
-    # index space); raw_pos maps a non-NOP index back to the raw stream
-    # so gap warming can still touch NOP fetch lines.
-    raw_pos, total, total_units, measured_units = unit_geometry(oracle,
-                                                                sampling)
+    # Unit geometry is over the NOP-free stream (the processor's commit
+    # index space); the group's shared raw_index maps a NOP-free index
+    # back to the raw stream so gap warming can still touch NOP fetch
+    # lines.
+    raw_index = processors[0].shared.raw_index
+    total = len(raw_index)
+    total_units, measured_units = unit_geometry(total, sampling)
     unit = sampling.unit
     warmers = [WarmingState(processor) for processor in processors]
     accs = [SampleAccum() for _ in processors]
@@ -358,9 +354,9 @@ def run_sampled(processors: Sequence[Processor],
         # Functional fast-forward of the gap (raw slice: NOPs included
         # for cache touches, exactly as pre-run warming would see them).
         if w_start > cursor:
-            gap = oracle[raw_pos[cursor]:raw_pos[w_start]]
+            gap = oracle[raw_index[cursor]:raw_index[w_start]]
             touches = cache_touches(gap, seen_line) if warm else None
-            seen_line = gap[-1].pc >> 6
+            seen_line = gap.pc[-1] >> 6
             for processor, warmer, acc in zip(processors, warmers, accs):
                 profiler = (processor.obs.profiler
                             if processor.obs is not None else None)

@@ -122,10 +122,13 @@ def _bundle_length(path: Path, prefix: str) -> Optional[int]:
 def _load_stream_from_disk(name: str, length: int) -> Optional[int]:
     """Seed the suite's in-process caches from the on-disk prep cache.
 
-    Each bundle holds the pickled program plus its oracle stream packed
-    by :func:`~repro.emulator.stream.encode_stream`; decoding binds the
-    records to the bundled program's own instruction objects, exactly
-    as a fresh generate+emulate would.  Returns the requested-length of
+    Each bundle holds the pickled program plus its oracle stream's
+    columns (:func:`~repro.emulator.stream.encode_stream`); loading is
+    the unpickle plus :func:`~repro.emulator.stream.decode_stream`'s
+    check that the columns agree in length and that every PC is an
+    instruction address of the bundled program, whose instruction
+    objects the stream then reads, exactly as after a fresh
+    generate+emulate.  Returns the requested-length of
     the loaded entry (the shortest cached stream covering *length*), or
     None on a miss.  A corrupt bundle (torn write, pickle drift,
     hand-edit, columns that do not fit the program) is quarantined to
@@ -509,6 +512,18 @@ def warm_group_snapshots(configs, oracle, key: StreamKey,
     return {cache_key: _WarmSnapshot({role: table[(role, spec)]
                                       for role, spec in config_specs.items()})
             for cache_key, config_specs in specs.items()}
+
+
+def forget_benchmark(name: str) -> None:
+    """Drop suite benchmark *name*'s in-process stream state: its
+    program, streams and slices (:func:`repro.workloads.suite.forget`)
+    and the warm table's structures when they were trained on it.  A
+    later request rebuilds them, from the on-disk bundle when there is
+    one."""
+    suite.forget(name)
+    held = _warm_table.stream
+    if held is not None and held[:2] == ("bench", name):
+        _warm_table.clear()
 
 
 def clear_prep_caches() -> None:

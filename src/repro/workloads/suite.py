@@ -12,11 +12,11 @@ module-wide because generation and functional emulation are pure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import FragmentConfig, env_int
 from repro.emulator.machine import Machine
-from repro.emulator.stream import DynamicInstruction, ExecutionResult
+from repro.emulator.stream import ExecutionResult
 from repro.errors import ConfigError, ReproError
 from repro.frontend.fragments import average_fragment_length
 from repro.isa.program import Program
@@ -172,8 +172,8 @@ def cached_program(name: str) -> Optional[Program]:
 def seed_program(name: str, program: Program) -> None:
     """Install an externally-obtained program (the on-disk prep cache)
     unless one is already cached — the stream cache and program cache
-    must stay identity-consistent (stream records reference the
-    program's instruction objects)."""
+    must stay identity-consistent (a stream reads its instructions from
+    its program's instruction objects)."""
     _program_cache.setdefault(name, program)
 
 
@@ -205,8 +205,7 @@ def oracle_stream(name: str,
 def _install_stream(name: str,
                     entry: Tuple[int, ExecutionResult]) -> None:
     """Replace *name*'s cached stream, dropping its memoized slices —
-    they were built from the superseded stream, and serving them would
-    break record identity against the new one."""
+    they were built from the superseded stream."""
     _stream_cache[name] = entry
     for key in [k for k in _slice_cache if k[0] == name]:
         del _slice_cache[key]
@@ -244,6 +243,14 @@ def clear_caches() -> None:
     _slice_cache.clear()
 
 
+def forget(name: str) -> None:
+    """Drop benchmark *name*'s cached program, stream and slices."""
+    _program_cache.pop(name, None)
+    _stream_cache.pop(name, None)
+    for key in [k for k in _slice_cache if k[0] == name]:
+        del _slice_cache[key]
+
+
 def characterize(name: str, max_instructions: Optional[int] = None,
                  fragment_config: Optional[FragmentConfig] = None
                  ) -> MeasuredCharacteristics:
@@ -251,16 +258,17 @@ def characterize(name: str, max_instructions: Optional[int] = None,
     program = get_benchmark(name)
     result = oracle_stream(name, max_instructions)
     config = fragment_config or FragmentConfig()
-    stream: List[DynamicInstruction] = result.stream
+    stream = result.stream
     total = len(stream)
     if total == 0:
         raise ReproError(f"benchmark {name!r} produced no instructions")
 
-    cond = sum(1 for r in stream if r.inst.is_cond_branch)
-    indirect = sum(1 for r in stream if r.inst.is_indirect)
-    taken = sum(1 for r in stream if r.taken)
-    loads = sum(1 for r in stream if r.inst.is_load)
-    stores = sum(1 for r in stream if r.inst.is_store)
+    insts = list(stream.program.insts_at(stream.pc))
+    cond = sum(inst.is_cond_branch for inst in insts)
+    indirect = sum(inst.is_indirect for inst in insts)
+    taken = sum(stream.taken)
+    loads = sum(inst.is_load for inst in insts)
+    stores = sum(inst.is_store for inst in insts)
 
     return MeasuredCharacteristics(
         name=name,

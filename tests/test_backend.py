@@ -6,28 +6,29 @@ import pytest
 from repro.backend.core import OutOfOrderCore
 from repro.config import BackEndConfig, MemoryConfig
 from repro.core.uop import DecodedUop, MicroOp, PlaceholderProducer, UopState
-from repro.emulator.stream import DynamicInstruction
 from repro.isa.assembler import assemble
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatsCollector
 
 
-def make_core(**backend_kwargs):
+def make_core(eas=(), **backend_kwargs):
+    """A core whose oracle effective-address column is *eas*."""
     stats = StatsCollector()
     memory = MemoryHierarchy(MemoryConfig(), stats)
-    return OutOfOrderCore(BackEndConfig(**backend_kwargs), memory, stats)
+    return OutOfOrderCore(BackEndConfig(**backend_kwargs), memory, stats,
+                          eas)
 
 
 _SEQ = [0]
 
 
-def make_uop(source_text="add t0, t1, t2", record=None, seq=None):
+def make_uop(source_text="add t0, t1, t2", oracle_idx=-1, seq=None):
     inst = assemble(source_text).instructions[0]
     if seq is None:
         _SEQ[0] += 1
         seq = _SEQ[0]
     return MicroOp(seq, inst, inst.addr, fragment_seq=0, position=0,
-                   record=record, decoded=DecodedUop(inst))
+                   decoded=DecodedUop(inst), oracle_idx=oracle_idx)
 
 
 def run_until_done(core, uop, max_cycles=300):
@@ -142,22 +143,16 @@ class TestExecution:
             assert uop not in core.cycle(now)
 
     def test_load_miss_takes_memory_latency(self):
-        core = make_core()
-        inst = assemble("ld t0, 0(gp)").instructions[0]
-        record = DynamicInstruction(0, inst, inst.addr, inst.addr + 4,
-                                    ea=0x100000)
-        load = make_uop("ld t0, 0(gp)", record=record)
+        core = make_core(eas=[0x100000])
+        load = make_uop("ld t0, 0(gp)", oracle_idx=0)
         core.dispatch([load], now=0)
         cycles = run_until_done(core, load, max_cycles=300)
         assert cycles > 100  # cold miss to memory
 
     def test_load_hit_is_fast(self):
-        core = make_core()
+        core = make_core(eas=[0x100000])
         core.memory.data_access(0x100000, 0)  # warm the D-cache
-        inst = assemble("ld t0, 0(gp)").instructions[0]
-        record = DynamicInstruction(0, inst, inst.addr, inst.addr + 4,
-                                    ea=0x100000)
-        load = make_uop("ld t0, 0(gp)", record=record)
+        load = make_uop("ld t0, 0(gp)", oracle_idx=0)
         core.dispatch([load], now=1000)
         now = 1000
         while load.state is not UopState.DONE:
@@ -167,7 +162,7 @@ class TestExecution:
 
     def test_wrong_path_load_charged_hit_only(self):
         core = make_core()
-        load = make_uop("ld t0, 0(gp)", record=None)
+        load = make_uop("ld t0, 0(gp)")
         core.dispatch([load], now=0)
         assert run_until_done(core, load) <= 5
 

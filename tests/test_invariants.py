@@ -130,7 +130,7 @@ class TestInvariantChecker:
         processor = self.run_briefly()
         fragment = next(f for f in processor.fragments if f.uops)
         uop = fragment.uops[0]
-        uop.record = None
+        uop.oracle_idx = -1
         uop.state = UopState.COMMITTED
         fragment.committed_count = max(fragment.committed_count, 1)
         with pytest.raises(InvariantError) as excinfo:

@@ -7,7 +7,7 @@ from repro.isa.assembler import assemble
 def make_uop(text="add t0, t1, t2", seq=1):
     inst = assemble(text).instructions[0]
     return MicroOp(seq, inst, inst.addr, fragment_seq=0, position=0,
-                   record=None, decoded=DecodedUop(inst))
+                   decoded=DecodedUop(inst))
 
 
 class TestMicroOp:
@@ -30,9 +30,6 @@ class TestMicroOp:
         assert consumer.sources_ready()
         producer.state = UopState.COMMITTED
         assert consumer.sources_ready()
-
-    def test_actual_next_pc_wrong_path(self):
-        assert make_uop().actual_next_pc() is None
 
     def test_control_classification(self):
         branch = make_uop("x: beq t0, t1, x")
