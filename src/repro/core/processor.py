@@ -33,7 +33,7 @@ from repro.core.invariants import InvariantChecker, PipelineWatchdog
 from repro.core.uop import MicroOp, PlaceholderProducer, UopState
 from repro.perf.soa import SharedStream, SoAState
 from repro.backend.core import OutOfOrderCore
-from repro.emulator.stream import ColumnStream
+from repro.emulator.stream import TAKEN, ColumnStream
 from repro.errors import ConfigError, SimulationError
 from repro.frontend.buffers import FragmentBufferArray, FragmentInFlight
 from repro.frontend.control import FrontEndControl
@@ -62,9 +62,6 @@ _FROM_ENV = object()
 
 #: Cycle phases in step order; profiler labels for ``Processor._phases``.
 PHASE_NAMES = ("execute", "commit", "rename", "fetch")
-
-#: A ``taken`` column entry (0 or 1) as the bool a direction bit is.
-_TAKEN = (False, True)
 
 
 def _unlink(uops: List[MicroOp]) -> None:
@@ -624,7 +621,7 @@ class Processor:
         start, taken = fragment.oracle_start, self._oracle.taken
         insts = fragment.static_frag.instructions
         truncated_dirs = tuple(
-            _TAKEN[taken[start + p]]
+            TAKEN[taken[start + p]]
             for p in range(min(position + 1, fragment.matched))
             if insts[p].is_cond_branch)
         self.trace_predictor.push_history(
@@ -845,7 +842,7 @@ class Processor:
                     uop_log.append(uop)
                 inst = uop.inst
                 if inst.is_cond_branch:
-                    direction = _TAKEN[taken[index]]
+                    direction = TAKEN[taken[index]]
                     carve_dirs.append(direction)
                     bimodal_train(uop.pc, direction)
                 # Inlined should_terminate predicate (HALT / INDIRECT /

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
-from repro.emulator.stream import ColumnStream
+from repro.emulator.stream import TAKEN, ColumnStream
 from repro.frontend.fragments import FragmentKey, should_terminate
 from repro.isa.instructions import Instruction
 from repro.predictors.liveout import memo_liveouts
@@ -110,7 +110,7 @@ class WarmingState:
 
             # Branch outcome predictor.
             if inst.is_cond_branch:
-                direction = taken == 1
+                direction = TAKEN[taken]
                 bimodal.train(pc, direction)
                 directions.append(direction)
 
@@ -317,7 +317,7 @@ def warm_donor_group(donors: Sequence, stream: ColumnStream) -> None:
             if inst.is_nop:
                 continue
             if inst.is_cond_branch:
-                direction = taken == 1
+                direction = TAKEN[taken]
                 for bimodal_train in bimodal_trains:
                     bimodal_train(pc, direction)
                 if carve:

@@ -43,8 +43,6 @@ class DynamicInstruction:
         taken: for control instructions, whether control transferred away
             from the fall-through path; ``False`` for everything else.
         ea: effective address for loads/stores, else ``None``.
-
-    Records are values: two are equal when every field is.
     """
 
     __slots__ = ("index", "inst", "pc", "next_pc", "taken", "ea")
@@ -58,20 +56,14 @@ class DynamicInstruction:
         self.taken = taken
         self.ea = ea
 
-    def _fields(self) -> tuple:
-        return (self.index, self.inst, self.pc, self.next_pc, self.taken,
-                self.ea)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DynamicInstruction):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = " taken" if self.taken else ""
         return f"<#{self.index} {self.pc:#x}: {self.inst}{flags}>"
+
+
+#: ``TAKEN[entry]`` is a ``taken`` column entry (0 or 1) as the bool a
+#: direction bit is; every reader of the column converts through it.
+TAKEN = (False, True)
 
 
 def address_column(values: Sequence[int]) -> array:
@@ -143,7 +135,7 @@ class ColumnStream(Sequence):
         pc = self.pc[index]
         return DynamicInstruction(
             self.first + index, self.program.inst_at(pc), pc,
-            self.next_pc[index], self.taken[index] == 1,
+            self.next_pc[index], TAKEN[self.taken[index]],
             self.ea[index] if self.has_ea[index] else None)
 
     def __iter__(self) -> Iterator[DynamicInstruction]:
@@ -151,7 +143,7 @@ class ColumnStream(Sequence):
                for ea, present in zip(self.ea, self.has_ea))
         return map(DynamicInstruction, count(self.first),
                    self.program.insts_at(self.pc), self.pc, self.next_pc,
-                   map(bool, self.taken), eas)
+                   map(TAKEN.__getitem__, self.taken), eas)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ColumnStream):
@@ -159,7 +151,9 @@ class ColumnStream(Sequence):
                     and self.first == other.first
                     and self.columns() == other.columns())
         if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
+            # Records are built on access and compare by identity, so
+            # only an empty stream equals a list of them.
+            return len(self.pc) == 0 and len(other) == 0
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -275,10 +269,25 @@ def decode_stream(program: Program, packed: PackedStream) -> ExecutionResult:
 
     Each record's ``inst`` is ``program.inst_at(pc)`` — *program*'s own
     instruction object, as in emulation, so decode-cache identity
-    holds.  Raises ``ValueError`` when the columns disagree in length and
-    :class:`~repro.errors.ReproError` when a PC is not an instruction
-    address of *program*'s text segment.
+    holds.  Raises ``ValueError`` when a column does not have the form
+    :meth:`Machine.run <repro.emulator.machine.Machine.run>` gives it
+    (an address column that is not an ``'I'`` or ``'Q'`` array, a flag
+    column that is not bytes of 0 and 1) or the columns disagree in
+    length, and :class:`~repro.errors.ReproError` when a PC is not an
+    instruction address of *program*'s text segment.  The columns are
+    then used as they are, so nothing read from disk reaches the timing
+    model unchecked.
     """
+    for name in ("pc", "next_pc", "ea"):
+        column = getattr(packed, name)
+        if not isinstance(column, array) or column.typecode not in "IQ":
+            raise ValueError(f"stream column {name!r} is not an address "
+                             f"array")
+    for name in ("taken", "has_ea"):
+        column = getattr(packed, name)
+        if not isinstance(column, bytes) or column.translate(None, b"\0\1"):
+            raise ValueError(f"stream column {name!r} is not bytes of "
+                             f"0 and 1")
     columns = (packed.pc, packed.next_pc, packed.taken, packed.ea,
                packed.has_ea)
     if any(len(column) != len(packed.pc) for column in columns):

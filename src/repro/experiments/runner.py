@@ -979,9 +979,11 @@ def run_sweep(jobs: Sequence[SweepJob],
     stream-siblings across workers rebuilds them per worker.  Each group
     runs in a fresh worker process, which exits with everything the
     group loaded; scattered sweeps keep their workers.  On the serial
-    path the last group of each benchmark frees that benchmark's
-    stream state (:func:`repro.sampling.prep.forget_benchmark`), so
-    the calling process, too, holds one stream at a time.  Grouping
+    path the last group of each benchmark but the sweep's final one
+    frees that benchmark's stream state
+    (:func:`repro.sampling.prep.forget_benchmark`), so the calling
+    process, too, holds one stream at a time, and keeps the final
+    benchmark's for its next sweep.  Grouping
     never changes results — only worker placement — and the merge stays
     in submission order, so grouped and ungrouped sweeps produce
     identical reports (the test suite asserts this).  Group sizes are
@@ -1135,14 +1137,18 @@ def run_sweep(jobs: Sequence[SweepJob],
                 # — sharing prep work and co-simulating exactly like a
                 # pool worker would — so single-stream sweeps (where the
                 # worker clamp lands on 1) get the same savings.  Like
-                # a pool worker's exit, the last group on a benchmark
-                # frees its stream state, so the process holds one
-                # stream at a time.
+                # a pool worker's exit, a benchmark's last group frees
+                # its stream state before the sweep moves on, so the
+                # process holds one stream at a time.  The final
+                # group's stays cached for the caller: a later sweep on
+                # that stream reuses it.
                 last_group = {group[0].benchmark: index
                               for index, group in enumerate(groups)}
+                final = len(groups) - 1
                 for index, group in enumerate(groups):
                     run_group_inline(group)
-                    if last_group[group[0].benchmark] == index:
+                    if (index < final
+                            and last_group[group[0].benchmark] == index):
                         prep.forget_benchmark(group[0].benchmark)
             else:
                 # A timeout needs per-job kill-able pools: every job

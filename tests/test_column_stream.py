@@ -13,7 +13,8 @@
   the records the reference emulator builds, field for field.
 * **Shared state** — a co-sim group computes each carve's live-outs
   once, and a serial sweep frees each benchmark's stream state after
-  its last group.
+  its last group, but for the final benchmark's, which its caller's
+  next sweep reuses.
 """
 
 import pickle
@@ -195,7 +196,7 @@ def test_record_view_matches_reference_records():
     assert ([_fields(r) for r in stream[-50:]]
             == [_fields(r) for r in reference[-50:]])
     assert [_fields(r) for r in stream] == [_fields(r) for r in reference]
-    assert list(stream[1990:]) == stream[1990:]
+    assert stream[2000:] == [] and stream[1990:] != []
     with pytest.raises(IndexError):
         stream[2000]
     with pytest.raises(ValueError):
@@ -243,7 +244,10 @@ def test_serial_sweep_holds_one_stream_at_a_time(cache_dir):
     # Each program alone is about 4 MB; kept, they would add up.
     growth = [held[bench] - held[benchmarks[0]] for bench in benchmarks]
     assert max(growth) < 2 * 2 ** 20, growth
-    assert all(suite.cached_program(bench) is None for bench in benchmarks)
+    # The final benchmark's stays cached for the caller's next sweep.
+    assert all(suite.cached_program(bench) is None
+               for bench in benchmarks[:-1])
+    assert suite.cached_program(benchmarks[-1]) is not None
 
     _clear()
     pooled = run_sweep(jobs, workers=2,
@@ -251,3 +255,22 @@ def test_serial_sweep_holds_one_stream_at_a_time(cache_dir):
     assert not serial.failures and not pooled.failures
     assert ([_outcome(serial.results[job]) for job in jobs]
             == [_outcome(pooled.results[job]) for job in jobs])
+
+
+def test_next_serial_sweep_on_the_final_stream_reuses_it(monkeypatch,
+                                                         cache_dir):
+    """Back-to-back serial sweeps on one stream neither reload nor
+    re-emulate it."""
+    first = run_sweep([SweepJob("w16", "gzip", 2000)], workers=1,
+                      cache=ResultCache(cache_dir / "results"))
+    program = suite.cached_program("gzip")
+
+    def refuse(*args):
+        raise AssertionError("rebuilt the final stream")
+
+    monkeypatch.setattr(Machine, "run", refuse)
+    monkeypatch.setattr(prep, "_load_stream_from_disk", refuse)
+    second = run_sweep([SweepJob("tc", "gzip", 2000)], workers=1,
+                       cache=ResultCache(cache_dir / "results"))
+    assert not first.failures and not second.failures
+    assert suite.cached_program("gzip") is program is not None

@@ -151,6 +151,18 @@ def _pc_outside_text(bundle):
     return pickle.dumps((program, packed._replace(pc=pcs)))
 
 
+def _taken_not_a_bit(bundle):
+    program, packed = pickle.loads(bundle.read_bytes())
+    taken = bytearray(packed.taken)
+    taken[len(taken) // 2] = 2
+    return pickle.dumps((program, packed._replace(taken=bytes(taken))))
+
+
+def _listed_address_column(bundle):
+    program, packed = pickle.loads(bundle.read_bytes())
+    return pickle.dumps((program, packed._replace(ea=list(packed.ea))))
+
+
 class TestChunkedWarmingParity:
     """Chunk boundaries must be invisible to every warmed structure."""
 
@@ -366,8 +378,10 @@ class TestPrepCache:
         suite.clear_caches()
 
     @pytest.mark.parametrize("corrupt", [
-        _wrong_shape, _ragged_columns, _pc_outside_text,
-    ], ids=["wrong-shape", "ragged-columns", "pc-outside-text"])
+        _wrong_shape, _ragged_columns, _pc_outside_text, _taken_not_a_bit,
+        _listed_address_column,
+    ], ids=["wrong-shape", "ragged-columns", "pc-outside-text",
+            "taken-not-a-bit", "listed-address-column"])
     def test_wrong_typed_bundle_is_quarantined(self, tmp_path, monkeypatch,
                                                corrupt):
         """A well-formed pickle that does not decode to the stream is

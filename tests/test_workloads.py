@@ -125,11 +125,17 @@ class TestSuite:
     def test_programs_cached(self):
         assert get_benchmark("gzip") is get_benchmark("gzip")
 
-    def test_oracle_stream_slicing(self):
+    def test_oracle_stream_slicing(self, monkeypatch):
         long = oracle_stream("gzip", 3000)
-        short = oracle_stream("gzip", 1000)
+        with monkeypatch.context() as patch:
+            def refuse(self, max_instructions):
+                raise AssertionError("re-emulated instead of slicing")
+            patch.setattr(Machine, "run", refuse)
+            short = oracle_stream("gzip", 1000)
         assert len(short.stream) == 1000
         assert short.stream == long.stream[:1000]
+        # A slice shares its parent's live-out memo.
+        assert short.stream.liveouts is long.stream.liveouts
 
     def test_default_sim_instructions_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_INSTRUCTIONS", "1234")
