@@ -76,8 +76,10 @@ CHECKPOINT_KEEP_ENV = "REPRO_CHECKPOINT_KEEP"
 
 DEFAULT_KEEP = 2
 
-#: Bump to invalidate on-disk snapshots when captured state changes shape.
-CHECKPOINT_VERSION = 1
+#: Bump to invalidate on-disk snapshots when captured state changes shape
+#: (2: caches, trace cache and live-out sets pickle as per-set tuples,
+#: trace-predictor entries as ``(key, counter)`` tuples).
+CHECKPOINT_VERSION = 2
 
 #: Process-wide checkpoint observability (thread-safe: library callers
 #: may run checkpointed simulations on several threads at once).  Counts

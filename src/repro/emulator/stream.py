@@ -97,11 +97,12 @@ class ColumnStream(Sequence):
     :func:`~repro.predictors.liveout.memo_liveouts`): the warm walk and
     every commit carver on the stream share it, and so do its slices and
     its NOP-free derivative, since an entry is a pure function of the
-    program.
+    program.  The NOP-free derivative itself is built on first use and
+    kept for the stream's lifetime (:meth:`without_nops`).
     """
 
     __slots__ = ("program", "pc", "next_pc", "taken", "ea", "has_ea",
-                 "first", "liveouts")
+                 "first", "liveouts", "_nop_free")
 
     def __init__(self, program: Program, pc: array, next_pc: array,
                  taken: bytes, ea: array, has_ea: bytes, first: int = 0,
@@ -114,6 +115,7 @@ class ColumnStream(Sequence):
         self.has_ea = has_ea
         self.first = first
         self.liveouts: Dict = {} if liveouts is None else liveouts
+        self._nop_free: Optional[Tuple[ColumnStream, array]] = None
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -172,19 +174,23 @@ class ColumnStream(Sequence):
         NOP-free stream is numbered from 0 and shares this stream's
         program and live-out memo.  Each column is one C-level pass
         (``itertools.compress`` over a mask of the non-NOP entries).
+        The pair is built once and kept, so every run on this stream
+        shares it; a slice is another stream, with its own.
         """
-        inst_at = self.program.inst_at
-        not_nop = {pc: not inst_at(pc).is_nop for pc in set(self.pc)}
-        keep = bytes(map(not_nop.__getitem__, self.pc))
-        kept = array("I", compress(range(len(self.pc)), keep))
-        return ColumnStream(
-            self.program,
-            array(self.pc.typecode, compress(self.pc, keep)),
-            array(self.next_pc.typecode, compress(self.next_pc, keep)),
-            bytes(compress(self.taken, keep)),
-            array(self.ea.typecode, compress(self.ea, keep)),
-            bytes(compress(self.has_ea, keep)),
-            0, self.liveouts), kept
+        if self._nop_free is None:
+            inst_at = self.program.inst_at
+            not_nop = {pc: not inst_at(pc).is_nop for pc in set(self.pc)}
+            keep = bytes(map(not_nop.__getitem__, self.pc))
+            kept = array("I", compress(range(len(self.pc)), keep))
+            self._nop_free = ColumnStream(
+                self.program,
+                array(self.pc.typecode, compress(self.pc, keep)),
+                array(self.next_pc.typecode, compress(self.next_pc, keep)),
+                bytes(compress(self.taken, keep)),
+                array(self.ea.typecode, compress(self.ea, keep)),
+                bytes(compress(self.has_ea, keep)),
+                0, self.liveouts), kept
+        return self._nop_free
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ColumnStream({len(self.pc)} insts from #{self.first} "

@@ -1171,8 +1171,12 @@ def run_sweep(jobs: Sequence[SweepJob],
                      pool.apply_async(_pool_group_task,
                                       ([(job, 0) for job in group],)))
                     for group in groups]
-                # No more tasks: a worker that exits after the last
-                # pending task is not replaced.
+                # No more tasks.  A worker that exits while any task
+                # is still running is replaced all the same, so a
+                # grouped sweep forks one idle worker more than it has
+                # groups (3 groups on 2 workers start 4); the idle
+                # fork sits beside one busy worker, not two, so it
+                # never sets the sweep's peak memory.
                 pool.close()
                 for group, handle in handles:
                     for job in group:

@@ -5,12 +5,15 @@ tagged by the full fragment key (start PC + branch directions) so that two
 traces from the same start with different internal paths compete for the
 ways of one set.  Each line stores up to 16 instructions; a hit supplies
 the whole trace in a single cycle.
+
+Like :class:`~repro.memory.cache.Cache`, each set is one tuple of its
+resident fragment keys in LRU order, oldest first, shared with clones
+until a write replaces it (docs/DATA_LAYOUT.md § 11).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.config import TraceCacheConfig
 from repro.frontend.fragments import FragmentKey
@@ -25,18 +28,18 @@ class TraceCache:
         self.config = config
         self.stats = stats if stats is not None else StatsCollector()
         self._num_sets = max(1, config.num_sets)
-        # Each set maps FragmentKey -> None in LRU order.
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(self._num_sets)]
-
-    def _set_index(self, key: FragmentKey) -> int:
-        return (key.start_pc >> 2) % self._num_sets
+        #: Per set, the resident fragment keys in LRU order (oldest
+        #: first); shared with clones, so replaced, never mutated.
+        self._sets: List[Tuple[FragmentKey, ...]] = [()] * self._num_sets
 
     def lookup(self, key: FragmentKey) -> bool:
         """Probe for a trace; counts hit/miss and updates LRU."""
-        cache_set = self._sets[self._set_index(key)]
-        if key in cache_set:
-            cache_set.move_to_end(key)
+        index = (key.start_pc >> 2) % self._num_sets
+        ways = self._sets[index]
+        if key in ways:
+            if ways[-1] != key:
+                way = ways.index(key)
+                self._sets[index] = ways[:way] + ways[way + 1:] + (key,)
             self.stats.add("tc.hits")
             return True
         self.stats.add("tc.misses")
@@ -44,21 +47,30 @@ class TraceCache:
 
     def insert(self, key: FragmentKey) -> None:
         """Fill a trace built by the miss path."""
-        cache_set = self._sets[self._set_index(key)]
-        if key in cache_set:
-            cache_set.move_to_end(key)
+        index = (key.start_pc >> 2) % self._num_sets
+        ways = self._sets[index]
+        if key in ways:
+            if ways[-1] != key:
+                way = ways.index(key)
+                self._sets[index] = ways[:way] + ways[way + 1:] + (key,)
             return
-        if len(cache_set) >= self.config.assoc:
-            cache_set.popitem(last=False)
+        if len(ways) >= self.config.assoc:
+            ways = ways[1:]
             self.stats.add("tc.evictions")
-        cache_set[key] = None
+        self._sets[index] = ways + (key,)
         self.stats.add("tc.fills")
 
     def adopt_state(self, donor: "TraceCache") -> None:
-        """Clone *donor*'s resident traces and LRU order."""
+        """Clone *donor*'s resident traces and LRU order: one copy of
+        its list of per-set tuples, which both then share."""
         if donor.config != self.config:
             raise ValueError("trace-cache geometry mismatch in adopt_state")
-        self._sets = [OrderedDict(s) for s in donor._sets]
+        self._sets = list(donor._sets)
+
+    def state_view(self) -> Tuple[Tuple[FragmentKey, ...], ...]:
+        """Per set, its resident fragment keys in LRU order (oldest
+        first): the trace cache's whole state, read-only."""
+        return tuple(self._sets)
 
     @property
     def hit_rate(self) -> float:

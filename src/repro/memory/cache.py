@@ -4,12 +4,18 @@ This is a tag-array-only model: caches track which lines are resident, not
 their contents (the functional emulator owns all values).  That is exactly
 what a timing simulator needs and matches how SimpleScalar-derived models
 work.
+
+Each set is one tuple of its resident line addresses in LRU order,
+oldest first (``()`` when empty).  Tuples are immutable, so a clone
+(:meth:`Cache.adopt_state`) copies only the list of per-set pointers
+and shares every tuple with its donor; a write builds a new tuple in the
+writer's own list, which the donor and every other clone never see
+(docs/DATA_LAYOUT.md § 11).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.stats import StatsCollector
@@ -25,9 +31,10 @@ class Cache:
         self.stats = stats if stats is not None else StatsCollector()
         self._line_shift = config.line_bytes.bit_length() - 1
         self._num_sets = config.num_sets
-        # Each set maps line-address -> None in LRU order (oldest first).
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(self._num_sets)]
+        self._assoc = config.assoc
+        #: Per set, the resident line addresses in LRU order (oldest
+        #: first); shared with clones, so replaced, never mutated.
+        self._sets: List[Tuple[int, ...]] = [()] * self._num_sets
         # Stat keys, precomputed: lookup/fill run once per modelled cache
         # access and the f-string formatting dominated their cost.
         self._hits_key = f"{name}.hits"
@@ -58,10 +65,12 @@ class Cache:
         *update_lru* is false.
         """
         line = addr >> self._line_shift
-        cache_set = self._sets[line % self._num_sets]
-        if line in cache_set:
-            if update_lru:
-                cache_set.move_to_end(line)
+        index = line % self._num_sets
+        ways = self._sets[index]
+        if line in ways:
+            if update_lru and ways[-1] != line:
+                way = ways.index(line)
+                self._sets[index] = ways[:way] + ways[way + 1:] + (line,)
             self.stats.add(self._hits_key)
             return True
         self.stats.add(self._misses_key)
@@ -76,30 +85,38 @@ class Cache:
         """Install the line containing *addr*; return the evicted line
         address (or None).  Filling a resident line just promotes it."""
         line = addr >> self._line_shift
-        cache_set = self._sets[line % self._num_sets]
-        if line in cache_set:
-            cache_set.move_to_end(line)
+        index = line % self._num_sets
+        ways = self._sets[index]
+        if line in ways:
+            if ways[-1] != line:
+                way = ways.index(line)
+                self._sets[index] = ways[:way] + ways[way + 1:] + (line,)
             return None
         victim = None
-        if len(cache_set) >= self.config.assoc:
-            victim, _ = cache_set.popitem(last=False)
+        if len(ways) >= self._assoc:
+            victim = ways[0]
+            ways = ways[1:]
             self.stats.add(self._evictions_key)
-        cache_set[line] = None
+        self._sets[index] = ways + (line,)
         self.stats.add(self._fills_key)
         return victim
 
     def adopt_state(self, donor: "Cache") -> None:
-        """Clone *donor*'s resident lines and LRU order (tags only, so a
-        shallow per-set copy is a full state clone)."""
+        """Clone *donor*'s resident lines and LRU order: one copy of its
+        list of per-set tuples, which both then share."""
         if donor.config != self.config:
             raise ValueError(f"{self.name}: cache geometry mismatch "
                              "in adopt_state")
-        self._sets = [OrderedDict(s) for s in donor._sets]
+        self._sets = list(donor._sets)
 
     def invalidate_all(self) -> None:
         """Empty every set (used between warming and timed runs)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets = [()] * self._num_sets
+
+    def state_view(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per set, its resident line addresses in LRU order (oldest
+        first): the cache's whole state, read-only."""
+        return tuple(self._sets)
 
     # -- reporting --------------------------------------------------------
 

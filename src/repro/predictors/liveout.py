@@ -13,11 +13,13 @@ For each fragment the predictor supplies two bitmaps plus a length:
 The table is set-associative with small tags to detect aliasing, indexed
 by a hash of the fragment's start address and branch directions —
 Table 1's default is 4K entries, 2-way, 4-bit tags (84 bits/entry, 42 KB).
+Each set is one tuple of its ``(tag, info)`` entries in LRU order, oldest
+first, shared with clones until a write replaces it
+(docs/DATA_LAYOUT.md § 11).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -98,9 +100,8 @@ def memo_liveouts(memo: Dict[Tuple[FragmentKey, int], LiveOutInfo],
     return info
 
 
-class _SetEntry(NamedTuple):
-    tag: int
-    info: LiveOutInfo
+#: One live-out table entry: ``(tag, info)``.
+_SetEntry = Tuple[int, LiveOutInfo]
 
 
 class LiveOutPredictor:
@@ -112,9 +113,9 @@ class LiveOutPredictor:
         self.stats = stats if stats is not None else StatsCollector()
         self._num_sets = max(1, config.entries // config.assoc)
         self._tag_mask = (1 << config.tag_bits) - 1
-        # set index -> OrderedDict {tag: LiveOutInfo} in LRU order.
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(self._num_sets)]
+        #: Per set, its ``(tag, info)`` entries in LRU order (oldest
+        #: first); shared with clones, so replaced, never mutated.
+        self._sets: List[Tuple[_SetEntry, ...]] = [()] * self._num_sets
 
     def _locate(self, key: FragmentKey) -> Tuple[int, int]:
         """(set index, tag) for a fragment key."""
@@ -125,32 +126,41 @@ class LiveOutPredictor:
     def predict(self, key: FragmentKey) -> Optional[LiveOutInfo]:
         """Predicted live-outs for *key*, or None on a table miss."""
         index, tag = self._locate(key)
-        cache_set = self._sets[index]
-        info = cache_set.get(tag)
-        if info is None:
-            self.stats.add("liveout.table_misses")
-            return None
-        cache_set.move_to_end(tag)
-        self.stats.add("liveout.table_hits")
-        return info
+        ways = self._sets[index]
+        for way, entry in enumerate(ways):
+            if entry[0] == tag:
+                if way != len(ways) - 1:
+                    self._sets[index] = ways[:way] + ways[way + 1:] + (entry,)
+                self.stats.add("liveout.table_hits")
+                return entry[1]
+        self.stats.add("liveout.table_misses")
+        return None
 
     def train(self, key: FragmentKey, info: LiveOutInfo) -> None:
         """Record the observed live-outs of a committed fragment."""
         index, tag = self._locate(key)
-        cache_set = self._sets[index]
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
-        elif len(cache_set) >= self.config.assoc:
-            cache_set.popitem(last=False)
-            self.stats.add("liveout.evictions")
-        cache_set[tag] = info
+        ways = self._sets[index]
+        for way, entry in enumerate(ways):
+            if entry[0] == tag:
+                ways = ways[:way] + ways[way + 1:]
+                break
+        else:
+            if len(ways) >= self.config.assoc:
+                ways = ways[1:]
+                self.stats.add("liveout.evictions")
+        self._sets[index] = ways + ((tag, info),)
 
     def adopt_state(self, donor: "LiveOutPredictor") -> None:
-        """Clone *donor*'s trained table (entries are immutable
-        :class:`LiveOutInfo` tuples; LRU order is preserved)."""
+        """Clone *donor*'s trained table and LRU order: one copy of its
+        list of per-set tuples, which both then share."""
         if donor.config != self.config:
             raise ValueError("live-out config mismatch in adopt_state")
-        self._sets = [OrderedDict(s) for s in donor._sets]
+        self._sets = list(donor._sets)
+
+    def state_view(self) -> Tuple[Tuple[_SetEntry, ...], ...]:
+        """Per set, its ``(tag, info)`` entries in LRU order (oldest
+        first): the table's whole state, read-only."""
+        return tuple(self._sets)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cfg = self.config

@@ -14,6 +14,11 @@ History is speculative: the front-end pushes each predicted/fetched
 fragment key as it goes and restores a snapshot on mispredictions.
 Training happens at retire time against a separate architectural history
 register, so wrong-path pollution never corrupts the tables.
+
+A table entry is an immutable ``(key, counter)`` tuple, replaced whenever
+its key or counter changes, so a clone copies each table with one
+``dict(...)`` and shares every entry with its donor
+(docs/DATA_LAYOUT.md § 11).
 """
 
 from __future__ import annotations
@@ -30,15 +35,9 @@ _COUNTER_MAX = 3
 
 HistorySnapshot = Tuple[int, ...]
 
-
-class _Entry:
-    """One predictor-table entry."""
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, key: FragmentKey):
-        self.key = key
-        self.counter = 1
+#: One predictor-table entry: the predicted next fragment key and its
+#: 2-bit hysteresis counter.
+TableEntry = Tuple[FragmentKey, int]
 
 
 class TracePredictor:
@@ -48,8 +47,8 @@ class TracePredictor:
                  stats: Optional[StatsCollector] = None):
         self.config = config
         self.stats = stats if stats is not None else StatsCollector()
-        self._primary: Dict[int, _Entry] = {}
-        self._secondary: Dict[int, _Entry] = {}
+        self._primary: Dict[int, TableEntry] = {}
+        self._secondary: Dict[int, TableEntry] = {}
         self._primary_mask = config.primary_entries - 1
         self._secondary_mask = config.secondary_entries - 1
         # Index-hash constants, precomputed off the hot path.
@@ -61,7 +60,8 @@ class TracePredictor:
             (i * config.older_bits + 4) % shift_mod
             for i in range(config.depth))
         #: ``FragmentKey -> hash_id()`` memo: the same keys recur for the
-        #: whole run and the mixing arithmetic is pure.
+        #: whole run and the mixing arithmetic is pure, so clones share
+        #: their donor's memo.
         self._id_cache: Dict[FragmentKey, int] = {}
         #: Speculative history used for prediction (front-end state).
         self._history: Deque[int] = deque(maxlen=config.depth + 1)
@@ -117,11 +117,11 @@ class TracePredictor:
         entry = self._primary.get(self._index(history))
         if entry is not None:
             self.stats.add("tracepred.predictions_primary")
-            return entry.key
+            return entry[0]
         entry = self._secondary.get(self._secondary_index(history))
         if entry is not None:
             self.stats.add("tracepred.predictions_secondary")
-            return entry.key
+            return entry[0]
         self.stats.add("tracepred.cold_misses")
         return None
 
@@ -137,46 +137,46 @@ class TracePredictor:
                           actual)
         self._retire_history.append(self._hash_id(actual))
 
-    def _train_table(self, table: Dict[int, _Entry], index: int,
+    def _train_table(self, table: Dict[int, TableEntry], index: int,
                      actual: FragmentKey) -> None:
         entry = table.get(index)
         if entry is None:
-            table[index] = _Entry(actual)
+            table[index] = (actual, 1)
             return
-        if entry.key == actual:
-            if entry.counter < _COUNTER_MAX:
-                entry.counter += 1
-            return
-        entry.counter -= 1
-        if entry.counter < 0:
-            table[index] = _Entry(actual)
-        else:
+        key, counter = entry
+        if key == actual:
+            if counter < _COUNTER_MAX:
+                table[index] = (key, counter + 1)
+        elif counter:
+            table[index] = (key, counter - 1)
             self.stats.add("tracepred.hysteresis_holds")
+        else:
+            table[index] = (actual, 1)
 
     def adopt_state(self, donor: "TracePredictor") -> None:
         """Clone *donor*'s trained tables and histories into this
         predictor.
 
-        Table entries are mutable (hysteresis counters), so each one is
-        copied rather than shared; the ID memo is shared-value-safe
-        (ints) and copied wholesale.  Requires identical geometry.
+        Entries are immutable tuples, so each table is one ``dict``
+        copy that shares them, and the ID memo, a pure function of the
+        key, is shared outright.  Requires identical geometry.
         """
         if donor.config != self.config:
             raise ValueError("trace-predictor config mismatch in adopt_state")
-        self._primary = {index: self._copy_entry(entry)
-                         for index, entry in donor._primary.items()}
-        self._secondary = {index: self._copy_entry(entry)
-                           for index, entry in donor._secondary.items()}
-        self._id_cache = dict(donor._id_cache)
+        self._primary = dict(donor._primary)
+        self._secondary = dict(donor._secondary)
+        self._id_cache = donor._id_cache
         self._history = deque(donor._history, maxlen=self.config.depth + 1)
         self._retire_history = deque(donor._retire_history,
                                      maxlen=self.config.depth + 1)
 
-    @staticmethod
-    def _copy_entry(entry: _Entry) -> _Entry:
-        clone = _Entry(entry.key)
-        clone.counter = entry.counter
-        return clone
+    def state_view(self) -> Tuple[Dict[int, TableEntry],
+                                  Dict[int, TableEntry]]:
+        """The primary and secondary tables, each ``{index: (key,
+        counter)}`` in index order: the tables' whole state, read-only
+        (copies)."""
+        return (dict(sorted(self._primary.items())),
+                dict(sorted(self._secondary.items())))
 
     # -- introspection ---------------------------------------------------
 

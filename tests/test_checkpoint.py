@@ -206,6 +206,34 @@ class TestManager:
         assert manager.path_for(600).with_name(
             manager.path_for(600).name + ".corrupt").exists()
 
+    def test_former_version_is_quarantined_and_run_starts_from_zero(self):
+        """A version-1 snapshot (the layout before warm structures held
+        per-set tuples) stored under the run's own file name is
+        quarantined; the run then starts from zero, with the result of
+        an uninterrupted run."""
+        reference = run_simulation("w16", "gzip", max_instructions=LENGTH,
+                                   checkpoint_every=1000)
+        program, _, key = prep.get_oracle("gzip", LENGTH)
+        manager = CheckpointManager(run_fingerprint(
+            frontend_config("w16"), prep.stream_fingerprint(key, program),
+            True, None, 1000))
+        processor = make_processor()
+        warm_processor(processor, processor._oracle)
+        stale = self._snap_at(processor, 2000, manager.fingerprint)
+        stale.version = 1
+        assert checkpoint.CHECKPOINT_VERSION == 2
+        manager.store(stale)
+
+        corrupt = CHECKPOINT_STATS.get("checkpoint.corrupt")
+        resumed = CHECKPOINT_STATS.get("checkpoint.resumed")
+        rerun = run_simulation("w16", "gzip", max_instructions=LENGTH,
+                               checkpoint_every=1000)
+        assert CHECKPOINT_STATS.get("checkpoint.corrupt") == corrupt + 1
+        assert CHECKPOINT_STATS.get("checkpoint.resumed") == resumed
+        path = manager.path_for(2000)
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert result_identity(rerun) == result_identity(reference)
+
     def test_prune_keeps_newest(self, tmp_path):
         processor = make_processor()
         warm_processor(processor, processor._oracle)

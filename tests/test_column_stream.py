@@ -12,9 +12,10 @@
 * **The record view** — ``len``, indexing, slicing and iteration give
   the records the reference emulator builds, field for field.
 * **Shared state** — a co-sim group computes each carve's live-outs
-  once, and a serial sweep frees each benchmark's stream state after
-  its last group, but for the final benchmark's, which its caller's
-  next sweep reuses.
+  once, serial runs on one stream build its NOP-free view once, and a
+  serial sweep frees each benchmark's stream state after its last
+  group, but for the final benchmark's, which its caller's next sweep
+  reuses.
 """
 
 import pickle
@@ -224,6 +225,30 @@ def test_cosim_group_computes_each_carve_liveouts_once(monkeypatch):
         assert len(calls) == len(execution.stream.liveouts)
     finally:
         _clear()
+
+
+def test_serial_runs_build_the_nop_free_view_once(monkeypatch):
+    """Serial runs on one cached stream share the NOP-free view the
+    first one builds, and give the results of runs on fresh streams."""
+    configs = ("w16", "tc", "pr-2x8w")
+    fresh = []
+    for name in configs:
+        _clear()
+        fresh.append(_outcome(run_simulation(name, "gzip",
+                                             max_instructions=LENGTH)))
+    _clear()
+    views = []
+    init = SharedStream.__init__
+
+    def record(self, stream):
+        init(self, stream)
+        views.append(self.oracle)
+    monkeypatch.setattr(SharedStream, "__init__", record)
+    shared = [_outcome(run_simulation(name, "gzip", max_instructions=LENGTH))
+              for name in configs]
+    _clear()
+    assert len(views) == 3 and views[0] is views[1] is views[2]
+    assert shared == fresh
 
 
 def test_serial_sweep_holds_one_stream_at_a_time(cache_dir):

@@ -16,7 +16,10 @@ import pytest
 
 from repro.core.simulation import run_simulation
 from repro.errors import SimulationError
+from repro.frontend.fragments import FragmentKey
+from repro.isa.program import DATA_BASE, TEXT_BASE
 from repro.perf.cosim import run_cosim
+from repro.predictors.liveout import LiveOutInfo
 from repro.sampling import SamplingConfig
 from repro.sampling.prep import clear_prep_caches
 
@@ -125,23 +128,36 @@ class TestSampledParity:
     def test_state_damage_does_not_leak_across_siblings(self):
         """Trashing one sibling's private state mid-run leaves the
         others bit-identical to serial — the cross-config isolation
-        contract that licenses running them over one stream."""
-        serial = serial_reference(CONFIGS[1:], "gzip", SAMPLED_LENGTH,
+        contract that licenses running them over one stream.  The
+        victim is a second TC sibling, so every warm structure it
+        damages (caches, bimodal table, trace and live-out predictors,
+        trace cache) was cloned from a donor another sibling shares."""
+        serial = serial_reference(CONFIGS, "gzip", SAMPLED_LENGTH,
                                   sampling=SAMPLING)
 
         def trash_first_sibling(ui, processors):
             victim = processors[0]
             for i in range(8):
+                # Two junk lines 1 and 2 MB above the program's code
+                # and data: they share sets of every cache with it.
+                for base in (TEXT_BASE, DATA_BASE):
+                    for alias in (1 << 20, 2 << 20):
+                        addr = base + alias + (ui * 8 + i) * 64
+                        victim.memory.l2.fill(addr)
+                        victim.memory.l1i.fill(addr)
+                        victim.memory.l1d.fill(addr)
                 addr = 0xDEAD0000 + (ui * 8 + i) * 64
-                victim.memory.l2.fill(addr)
-                victim.memory.l1i.fill(addr)
-                victim.memory.l1d.fill(addr)
                 victim.bimodal.train(addr, bool(i & 1))
+                junk = FragmentKey(addr, (bool(i & 1),))
+                victim.trace_predictor.train(junk)
+                victim.liveout_predictor.train(
+                    junk, LiveOutInfo(0xFFFE, 0xFFFF, 16))
+                victim.trace_cache.insert(junk)
 
         clear_prep_caches()
         results, _ = run_cosim(
-            [(name, None) for name in CONFIGS], "gzip",
-            max_instructions=SAMPLED_LENGTH, sampling=SAMPLING,
+            [("tc", "victim")] + [(name, None) for name in CONFIGS],
+            "gzip", max_instructions=SAMPLED_LENGTH, sampling=SAMPLING,
             unit_hook=trash_first_sibling)
         assert ([result_tuple(r) for r in results[1:]]
                 == [result_tuple(r) for r in serial])

@@ -17,7 +17,10 @@ past position 8):
   every time after the first (reuse rate 1.0);
 * a register written in one fragment and read first thing in the next
   renames under PR without a live-out misprediction or squash once the
-  live-out predictor is warm.
+  live-out predictor is warm;
+* three dependent load/add pairs whose loads share one set of the
+  2-way L1D hit every time on 2 distinct lines and, under true LRU,
+  miss every time on 3, each miss then costing exactly the L2 latency.
 
 The loop counter (``addi t1``) and the closing ``bne`` ride along in
 every kernel; they are independent of the measured chain.
@@ -33,10 +36,12 @@ from repro.isa.assembler import assemble
 N = 300
 
 
-def loop(body, iterations):
-    """A counted loop around *body* (assembly lines), ending in ``halt``."""
+def loop(body, iterations, setup="", data=""):
+    """A counted loop around *body* (assembly lines), ending in ``halt``,
+    after *setup* lines and before a *data* segment."""
     return assemble(f"""
     main:
+{setup}
         li   t1, {iterations}
     loop:
 {body}
@@ -44,12 +49,13 @@ def loop(body, iterations):
         bne  t1, zero, loop
     done:
         halt
+{data}
     """, name="known_answer")
 
 
-def steady_state(config, body):
+def steady_state(config, body, setup="", data=""):
     """Cycles per iteration and counter deltas over N steady iterations."""
-    short, long = (run_simulation(config, loop(body, n),
+    short, long = (run_simulation(config, loop(body, n, setup, data),
                                   max_instructions=100_000)
                    for n in (N, 2 * N))
     assert not short.timed_out and not long.timed_out
@@ -81,6 +87,37 @@ RAW_ACROSS = lines(
     "add  t5, t3, t2",
     *["add  t6, t6, t5"] * 6,
 )
+
+
+#: Three dependent ``ld``->``add`` pairs.  The loaded words are zero, so
+#: each ``add`` leaves its base register unchanged but makes the next
+#: load's address wait for the previous load: the six operations form
+#: one chain through the whole loop.
+LOAD_PAIRS = lines(
+    "ld   t3, 0(s0)",
+    "add  s1, s1, t3",
+    "ld   t3, 0(s1)",
+    "add  s2, s2, t3",
+    "ld   t3, 0(s2)",
+    "add  s0, s0, t3",
+)
+
+#: Three buffers 32 KB apart: the first word of each falls in one set
+#: of the 64 KB 2-way L1D, and in three different sets of the L2.
+WAY_BUFFERS = """
+        .data
+    way_a:
+        .space 32768
+    way_b:
+        .space 32768
+    way_c:
+        .space 8
+"""
+
+
+def load_pair_setup(third):
+    """Point s0, s1 and s2 at way_a, way_b and *third*."""
+    return lines("la   s0, way_a", "la   s1, way_b", f"la   s2, {third}")
 
 
 def test_dependent_add_chain_runs_at_one_per_cycle():
@@ -132,3 +169,28 @@ def test_warm_liveout_prediction_never_squashes(config):
     assert deltas["rename.liveout_lookups"] == 2 * N
     assert deltas.get("rename.liveout_mispredicts", 0) == 0
     assert deltas.get("rename.liveout_squashes", 0) == 0
+
+
+def test_l1d_true_lru_misses_on_three_lines_of_one_set():
+    """On 2 lines of one set every load hits and finishes the cycle
+    after it issues (``now + 1``).  On 3 lines A, B, C in turn, true
+    LRU evicts each line just before it is needed again, so every load
+    misses the L1D, hits the L2 and finishes at ``now + 1 +
+    l2.latency``: the steady state differs by exactly 3 x l2.latency."""
+    memory = frontend_config("w16").memory
+    assert memory.l1d.num_sets * memory.l1d.line_bytes == 32768
+    assert memory.l1d.assoc == 2 and memory.l1d.latency == 1
+    assert memory.l2.num_sets * memory.l2.line_bytes > 2 * 32768
+    two_cpi, two = steady_state("w16", LOAD_PAIRS,
+                                load_pair_setup("way_a"), WAY_BUFFERS)
+    three_cpi, three = steady_state("w16", LOAD_PAIRS,
+                                    load_pair_setup("way_c"), WAY_BUFFERS)
+    assert two_cpi == 6.0
+    assert three_cpi - two_cpi == 3 * memory.l2.latency
+    assert two["l1d.hits"] == 3 * N
+    assert two.get("l1d.misses", 0) == 0
+    assert three.get("l1d.hits", 0) == 0
+    assert three["l1d.misses"] == 3 * N
+    assert three["l1d.evictions"] == 3 * N
+    assert three["l2.hits"] == 3 * N
+    assert three.get("l2.misses", 0) == 0

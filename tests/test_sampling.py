@@ -65,22 +65,20 @@ def make_processor(config_name="pf-2x8w", bench="gzip", length=3000):
 def structure_state(processor):
     """Every warmed structure's complete state, for bit-exact comparison."""
     predictor = processor.trace_predictor
+    primary, secondary = predictor.state_view()
     state = {
         "bimodal": dict(processor.bimodal._counters),
-        "primary": {index: (entry.key, entry.counter)
-                    for index, entry in sorted(predictor._primary.items())},
-        "secondary": {index: (entry.key, entry.counter)
-                      for index, entry in sorted(predictor._secondary.items())},
+        "primary": primary,
+        "secondary": secondary,
         "history": tuple(predictor._history),
         "retire_history": tuple(predictor._retire_history),
-        "liveout": [list(s.items())
-                    for s in processor.liveout_predictor._sets],
-        "l1i": [list(s.keys()) for s in processor.memory.l1i._sets],
-        "l1d": [list(s.keys()) for s in processor.memory.l1d._sets],
-        "l2": [list(s.keys()) for s in processor.memory.l2._sets],
+        "liveout": processor.liveout_predictor.state_view(),
+        "l1i": processor.memory.l1i.state_view(),
+        "l1d": processor.memory.l1d.state_view(),
+        "l2": processor.memory.l2.state_view(),
     }
     if processor.trace_cache is not None:
-        state["tc"] = [list(s.items()) for s in processor.trace_cache._sets]
+        state["tc"] = processor.trace_cache.state_view()
     return state
 
 
@@ -202,7 +200,7 @@ class TestChunkedWarmingParity:
         state.feed_caches(cache_touches(stream))
         assert len(processor.bimodal) == 0
         assert processor.trace_predictor.primary_occupancy == 0
-        assert sum(len(s) for s in processor.trace_cache._sets) == 0
+        assert not any(processor.trace_cache.state_view())
         first_pc = stream[0].pc
         assert processor.memory.l1i.probe(first_pc) or \
             processor.memory.l2.probe(first_pc)
@@ -224,10 +222,8 @@ class TestChunkedWarmingParity:
         WarmingState(fed).feed(stream)
         assert replayed_fills == fed_fills
         for name in ("l1i", "l1d", "l2"):
-            assert ([list(s.keys()) for s in
-                     getattr(replayed.memory, name)._sets]
-                    == [list(s.keys()) for s in
-                        getattr(fed.memory, name)._sets]), name
+            assert (getattr(replayed.memory, name).state_view()
+                    == getattr(fed.memory, name).state_view()), name
 
 
 class TestSnapshotWarming:
