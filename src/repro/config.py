@@ -331,11 +331,8 @@ ENV_KNOBS: Dict[str, str] = {
     "REPRO_SWEEP_GROUP": "group stream-sharing sweep jobs per worker and "
                          "co-simulate them (0 = scatter, serial)",
     "REPRO_SWEEP_RETRIES": "sweep job retry attempts",
-    "REPRO_SWEEP_BACKOFF": "base delay between sweep job retries",
     "REPRO_JOB_TIMEOUT": "per-job wall-clock timeout in sweeps",
     "REPRO_CACHE_DIR": "persistent sweep result-cache directory",
-    "REPRO_CACHE_BUDGET": "result-cache size budget (bytes or K/M/G)",
-    "REPRO_CACHE_TMP_TTL": "age gate for reaping orphaned cache tmp files",
     "REPRO_NO_CACHE": "disable the sweep result cache",
     "REPRO_WATCHDOG_CYCLES": "pipeline forward-progress watchdog window",
     "REPRO_INVARIANT_CHECKS": "per-cycle pipeline state audits",

@@ -6,8 +6,8 @@ share runs — Figures 4, 5 and 8 all use the default-configuration matrix —
 pay for each simulation once per process; and the runner's persistent
 on-disk cache (L2, ``.repro_cache/``), so fresh processes don't re-pay
 simulations at all.  Matrix-shaped work (`run_matrix`, and the experiment
-modules' prefetches) additionally fans cache misses out over a
-``multiprocessing`` worker pool via :func:`repro.experiments.runner.run_sweep`.
+modules' prefetches) additionally fans cache misses out over worker
+processes via :func:`repro.experiments.runner.run_sweep`.
 
 Environment knobs:
 
@@ -17,12 +17,12 @@ Environment knobs:
   and predictor-size sweeps (default: half the above);
 * ``REPRO_EXPERIMENT_BENCHMARKS`` — comma-separated benchmark subset
   (default: the full 12-benchmark suite);
-* ``REPRO_SWEEP_WORKERS`` — worker-pool width (default: CPU count);
+* ``REPRO_SWEEP_WORKERS`` — sweep worker processes (default: CPU count);
 * ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` — disk-cache location / kill
   switch (see :mod:`repro.experiments.runner`);
-* ``REPRO_SWEEP_RETRIES`` / ``REPRO_JOB_TIMEOUT`` /
-  ``REPRO_SWEEP_BACKOFF`` — fault-tolerance knobs for the sweep runner
-  (retries per failed job, per-job wall-clock timeout, backoff base).
+* ``REPRO_SWEEP_RETRIES`` / ``REPRO_JOB_TIMEOUT`` — fault-tolerance
+  knobs for the sweep runner (retry rounds for failed jobs, per-job
+  wall-clock timeout).
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def prefetch(jobs: Sequence[SweepJob],
     """Populate the memo (and disk cache) for *jobs* with a parallel sweep.
 
     Experiments call this before their `run_cached` loops so every miss is
-    computed on the worker pool instead of serially at first use.
+    computed by the sweep's worker processes instead of serially at
+    first use.
     Best-effort: a job that fails all its retries is simply left out of
     the memo — the authoritative `run_cached` path re-executes it and
     surfaces the error with full context.

@@ -12,8 +12,8 @@ machinery the rest of :mod:`repro.experiments` runs on:
   with ``REPRO_NO_CACHE``), keyed by a digest of the *resolved* processor
   configuration plus the job parameters and a cache-schema version, so
   stale entries are never served across config or format changes;
-* :func:`run_sweep` — fans pending jobs out over a ``multiprocessing``
-  pool (``REPRO_SWEEP_WORKERS`` sets the default width) and merges the
+* :func:`run_sweep` — fans pending jobs out over worker processes
+  (``REPRO_SWEEP_WORKERS`` sets the default width) and merges the
   results back in job order, so a parallel sweep is counter-for-counter
   identical to a serial one.  Jobs sharing an oracle stream — same
   ``(benchmark, length, warm)`` — are grouped onto one worker by
@@ -25,33 +25,33 @@ machinery the rest of :mod:`repro.experiments` runs on:
 * :func:`run_job` — the single-job path (disk cache + execute) that the
   in-process memo in :mod:`repro.experiments.common` layers on top of.
 
-Fault tolerance: a sweep survives individual job failures.  Each job
-gets a wall-clock timeout (``REPRO_JOB_TIMEOUT`` / ``--timeout``; a
-crashed worker whose result silently never arrives is bounded by the
-same mechanism), bounded retries with exponential backoff
-(``REPRO_SWEEP_RETRIES`` / ``--retries``, ``REPRO_SWEEP_BACKOFF``), and
-failed pool jobs are re-executed inline in the parent.  When
-``multiprocessing`` is unavailable or the pool cannot be created, the
-sweep degrades to serial execution instead of crashing.  Jobs that
-still fail after every retry become structured :class:`JobFailure`
-records on the report (``SweepReport.failures``) rather than a
-sweep-wide exception; callers that need all results call
-:meth:`SweepReport.raise_failures`.  Pools are context-managed and
-terminated on the error path, so a failing sweep never leaks or hangs
-on stuck workers.
+Fault tolerance: a sweep survives individual job failures.  A worker
+process that dies fails its group's jobs as soon as its pipe closes;
+one that outlives its wall-clock budget (``REPRO_JOB_TIMEOUT`` /
+``--timeout`` per job) is killed.  Failed jobs run again, one per
+group, in up to ``REPRO_SWEEP_RETRIES`` / ``--retries`` further rounds.
+When a worker process cannot be started, its group runs in the calling
+process instead.  Jobs that still fail after every retry become
+structured :class:`JobFailure` records on the report
+(``SweepReport.failures``) rather than a sweep-wide exception; callers
+that need all results call :meth:`SweepReport.raise_failures`.  Worker
+processes still running when a sweep ends, on any path, are killed and
+reaped, so a failing sweep never leaks or hangs on stuck workers.
 
 Observability: each sweep produces a :class:`SweepReport` whose
 :class:`~repro.stats.StatsCollector` carries job counts, cache hit/miss
 counters, per-job and total wall-clock timing, worker utilization and
 the failure/recovery counters (``sweep.retries``, ``sweep.timeouts``,
-``sweep.worker_errors``, ``sweep.failures``, ``sweep.recovered``,
-``sweep.degraded``, ``sweep.cache_corrupt``); the same counters
-accumulate process-wide in :data:`SWEEP_STATS`.  Deterministic fault
-injection for all of these paths lives in :mod:`repro.faults`.
+``sweep.worker_errors``, ``sweep.worker_crashes``, ``sweep.failures``,
+``sweep.recovered``, ``sweep.degraded``, ``sweep.cache_corrupt``); the
+same counters accumulate process-wide in :data:`SWEEP_STATS`.
+Deterministic fault injection for all of these paths lives in
+:mod:`repro.faults`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -65,6 +65,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     MutableMapping,
     Optional,
@@ -93,13 +94,10 @@ WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 GROUP_ENV = "REPRO_SWEEP_GROUP"
 RETRIES_ENV = "REPRO_SWEEP_RETRIES"
 TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
-BACKOFF_ENV = "REPRO_SWEEP_BACKOFF"
-CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
-CACHE_TMP_TTL_ENV = "REPRO_CACHE_TMP_TTL"
 
 #: Age (seconds) past which an orphaned ``.tmp`` write is considered
-#: dead and reaped (``REPRO_CACHE_TMP_TTL``).  Generous: no legitimate
-#: atomic write stays in flight for 10 minutes.
+#: dead and reaped.  Generous: no legitimate atomic write stays in
+#: flight for 10 minutes.
 DEFAULT_TMP_TTL = 600.0
 
 #: Stale-tmp sweeps on cache open are rate-limited to once per directory
@@ -110,57 +108,11 @@ _REAP_INTERVAL = 60.0
 #: Retries per job after its first attempt (``REPRO_SWEEP_RETRIES``).
 DEFAULT_RETRIES = 2
 
-#: Base of the exponential retry backoff, seconds (doubles per retry).
-DEFAULT_BACKOFF = 0.05
-
-#: Bounded wait for a pool result when no explicit job timeout is set.
-#: A worker that dies mid-job (OOM kill, segfault) loses its task
-#: *silently* — the pool repopulates but the result never arrives — so
-#: some bound must always exist or a single crash hangs the sweep.
-CRASH_GUARD_SECONDS = 600.0
-
 #: Process-wide accumulation of every sweep's counters (tests and the CLI
 #: read this to verify e.g. that a warm-cache sweep executed nothing).
 #: Thread-safe: sweeps and cache stores may run on several threads at
 #: once (``repro sweep --attach`` runs its sweep off the main thread).
 SWEEP_STATS = ThreadSafeStatsCollector()
-
-
-def parse_cache_budget(text: Optional[str]) -> Optional[int]:
-    """Parse a cache size budget like ``"256M"`` into bytes.
-
-    Accepts a plain byte count or a ``K``/``M``/``G`` suffix (powers of
-    1024, case-insensitive, optional trailing ``B``).  Returns None for
-    an unset/empty/zero value (no budget).
-    """
-    if not text:
-        return None
-    raw = text.strip().upper()
-    if raw.endswith("B"):
-        raw = raw[:-1]
-    scale = 1
-    if raw and raw[-1] in "KMG":
-        scale = 1024 ** ("KMG".index(raw[-1]) + 1)
-        raw = raw[:-1]
-    try:
-        value = int(float(raw) * scale)
-    except ValueError:
-        raise ValueError(f"unparseable cache budget {text!r} "
-                         "(expected bytes or K/M/G suffix)")
-    return value if value > 0 else None
-
-
-def default_cache_budget() -> Optional[int]:
-    """Cache size budget in bytes: ``REPRO_CACHE_BUDGET`` or none."""
-    return parse_cache_budget(os.environ.get(CACHE_BUDGET_ENV))
-
-
-def default_tmp_ttl() -> float:
-    """Orphaned-tmp age gate in seconds: ``REPRO_CACHE_TMP_TTL``."""
-    override = os.environ.get(CACHE_TMP_TTL_ENV)
-    if override:
-        return max(0.0, float(override))
-    return DEFAULT_TMP_TTL
 
 
 #: Monotonic per-process discriminator for in-flight tmp writes, so two
@@ -179,7 +131,7 @@ _LAST_REAP: Dict[str, float] = {}
 class SweepJob:
     """One simulation of the experiment matrix, described by value.
 
-    Only primitives — the job must be picklable for the worker pool and
+    Only primitives — the job must be picklable for worker processes and
     hashable for the in-process memo.  ``overrides`` is a tuple of
     ``(dotted.path, value)`` pairs applied to the resolved
     :class:`~repro.config.ProcessorConfig` with ``dataclasses.replace``
@@ -301,27 +253,20 @@ class ResultCache:
 
     Multi-process hygiene: a worker killed between writing its temp file
     and the rename leaves an orphaned ``<key>.tmp.<pid>-<n>`` behind;
-    stale orphans (older than ``REPRO_CACHE_TMP_TTL``, default 10 min)
-    are swept on cache open and on :meth:`clear`, counted as
-    ``sweep.cache_tmp_reaped``.  An optional size budget
-    (``REPRO_CACHE_BUDGET``, e.g. ``256M``) evicts least-recently-used
-    entries — by mtime, which loads refresh — after each store, counted
-    as ``sweep.cache_evicted``.  Every delete tolerates losing the race
+    stale orphans (older than :data:`DEFAULT_TMP_TTL`, 10 min) are swept
+    on cache open and on :meth:`clear`, counted as
+    ``sweep.cache_tmp_reaped``.  Every delete tolerates losing the race
     to another process (entries may vanish between listing and unlink).
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None,
-                 enabled: Optional[bool] = None,
-                 budget: Optional[int] = None) -> None:
+                 enabled: Optional[bool] = None) -> None:
         if directory is None:
             directory = os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
         self.directory = Path(directory)
         if enabled is None:
             enabled = not env_flag(NO_CACHE_ENV)
         self.enabled = enabled
-        #: Max total bytes of live entries (None = unlimited); explicit
-        #: argument wins over ``REPRO_CACHE_BUDGET``.
-        self.budget = budget if budget is not None else default_cache_budget()
         if self.enabled:
             self._reap_on_open()
 
@@ -335,19 +280,16 @@ class ResultCache:
         _LAST_REAP[key] = now
         self.reap_stale_tmp()
 
-    def reap_stale_tmp(self, ttl: Optional[float] = None,
-                       stats: Optional[StatsCollector] = None) -> int:
-        """Delete orphaned ``.tmp`` files older than *ttl* seconds.
+    def reap_stale_tmp(self, stats: Optional[StatsCollector] = None) -> int:
+        """Delete orphaned ``.tmp`` files older than :data:`DEFAULT_TMP_TTL`.
 
-        *ttl* defaults to ``REPRO_CACHE_TMP_TTL`` (600 s) — generous
-        enough that a tmp file from a live in-flight store is never
-        touched.  Returns the number reaped; each one also counts as
-        ``sweep.cache_tmp_reaped``.
+        The age gate is generous enough that a tmp file from a live
+        in-flight store is never touched.  Returns the number reaped;
+        each one also counts as ``sweep.cache_tmp_reaped``.
         """
         if not self.directory.is_dir():
             return 0
-        ttl = default_tmp_ttl() if ttl is None else max(0.0, ttl)
-        cutoff = time.time() - ttl
+        cutoff = time.time() - DEFAULT_TMP_TTL
         reaped = 0
         for path in self.directory.glob("*.tmp.*"):
             try:
@@ -393,13 +335,6 @@ class ResultCache:
             except (ValueError, KeyError, TypeError, AttributeError):
                 self._quarantine(path, stats)
                 return None
-            if self.budget is not None:
-                # LRU recency for the eviction policy: a hit refreshes
-                # the entry's mtime.  Best-effort (racing eviction).
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
             return result
         finally:
             self._time("load", time.perf_counter() - start, stats)
@@ -453,8 +388,8 @@ class ResultCache:
             os.replace(tmp, path)
         except FileNotFoundError:
             # Our tmp vanished before the rename: an external sweeper
-            # (aggressive TTL, concurrent wipe) won the race.  A cache
-            # store losing a race must never fail the job it caches.
+            # (a concurrent wipe) won the race.  A cache store losing a
+            # race must never fail the job it caches.
             for collector in (stats, SWEEP_STATS):
                 if collector is not None:
                     collector.add("sweep.cache_store_lost")
@@ -466,44 +401,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self._evict_over_budget(stats)
         self._time("store", time.perf_counter() - start, stats)
-
-    def _evict_over_budget(self, stats: Optional[StatsCollector]) -> None:
-        """Evict oldest-mtime entries until the live set fits the budget.
-
-        Runs after each store (a directory scan per executed job is
-        noise next to the simulation it cached).  Concurrent evictors
-        may race for the same victim; losing the race is fine.
-        """
-        if self.budget is None:
-            return
-        entries = []
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        if total <= self.budget:
-            return
-        entries.sort(key=lambda entry: entry[:2])
-        evicted = 0
-        for _, size, path in entries:
-            if total <= self.budget:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        if evicted:
-            for collector in (stats, SWEEP_STATS):
-                if collector is not None:
-                    collector.add("sweep.cache_evicted", evicted)
 
     def clear(self, stats: Optional[StatsCollector] = None) -> int:
         """Delete every cache entry (plus quarantined corpses and any
@@ -529,18 +427,6 @@ class ResultCache:
                     continue
             self.reap_stale_tmp(stats=stats)
         return removed
-
-    def total_bytes(self) -> int:
-        """Total size of the live entries (the budget's measure)."""
-        if not self.directory.is_dir():
-            return 0
-        total = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
 
     def __len__(self) -> int:
         if not self.directory.is_dir():
@@ -577,11 +463,11 @@ def _execute_job(job: SweepJob,
                  attempt: int = 0) -> Tuple[Dict[str, Any], float]:
     """Run one job (worker-side); returns (result payload, seconds).
 
-    Runs in a pool worker for parallel sweeps and inline for serial ones —
-    the exact same code path, which is what makes parallel output
-    bit-identical to serial.  *attempt* numbers re-executions of the same
-    job so the fault-injection plan (if any) can behave deterministically
-    across processes.
+    Runs in a worker process for parallel sweeps and inline for serial
+    ones — the exact same code path, which is what makes parallel output
+    bit-identical to serial.  *attempt* is the sweep round, which numbers
+    re-executions of the same job so the fault-injection plan (if any)
+    can behave deterministically across processes.
     """
     plan = faults.active_plan()
     if plan is not None:
@@ -609,11 +495,11 @@ def _execute_job(job: SweepJob,
 
 
 def _pool_task(task: Tuple[SweepJob, int]) -> Tuple:
-    """Worker entry point: never raises across the pipe.
+    """Run one job; never raises across the pipe.
 
     Exceptions become structured ``("error", type, message)`` outcomes so
-    one bad job cannot abort the whole ``imap``/``apply_async`` stream;
-    successes are ``("ok", payload, seconds)``.
+    one bad job cannot abort the rest of its group; successes are
+    ``("ok", payload, seconds)``.
     """
     job, attempt = task
     try:
@@ -662,7 +548,7 @@ def _cosim_batch(tasks: Sequence[Tuple[SweepJob, int]]
 
 def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]]
                      ) -> Tuple[List[Tuple], Dict[str, float]]:
-    """Worker entry point for a stream-sharing group of jobs.
+    """Run a stream-sharing group of jobs (a worker process's whole task).
 
     Every job in a group shares ``(benchmark, length, warm)``, so running
     the group sequentially inside one worker pays oracle-stream emulation
@@ -679,7 +565,8 @@ def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]]
     Returns ``(outcomes, group_stats)``: per-job outcomes in job order
     (never raising across the pipe — a failing job or batch yields
     ``("error", ...)`` tuples without poisoning its neighbours) and the
-    savings counters pool workers cannot report via process-global stats.
+    savings counters worker processes cannot report via process-global
+    stats.
     """
     tasks = list(tasks)
     group_stats: Dict[str, float] = {}
@@ -697,7 +584,7 @@ def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]]
                     [tasks[i] for i in indices])
             except Exception as exc:
                 # The whole batch shares one engine call, so one failure
-                # taints every sibling: each re-runs individually inline.
+                # taints every sibling: each re-runs alone next round.
                 failure = ("error", type(exc).__name__, str(exc))
                 for i in indices:
                     outcomes[i] = failure
@@ -714,60 +601,141 @@ def _pool_group_task(tasks: Sequence[Tuple[SweepJob, int]]
     return outcomes, group_stats
 
 
-def _make_pool(workers: int, keep_workers: bool = False
-               ) -> Optional[multiprocessing.pool.Pool]:
-    """A worker pool, or None when multiprocessing is unavailable.
+def _group_process(conn, tasks: Sequence[Tuple[SweepJob, int]]) -> None:
+    """Worker-process body: run one group, send its outcomes, exit."""
+    try:
+        conn.send(_pool_group_task(tasks))
+    finally:
+        conn.close()
 
-    Each task runs in a fresh worker process unless *keep_workers*.  A
-    grouped sweep's task is a whole stream group, and a worker that
-    exits after its group frees everything the group loaded — program,
-    stream, trained warm structures — with no teardown code.  Scattered
-    sweeps and :func:`parallel_map` keep their workers, so consecutive
-    tasks on one stream share a worker's caches.
 
-    Pool creation fails on platforms without working semaphores/fork
-    support (``ImportError``/``OSError``); the sweep then degrades to
-    serial in-process execution instead of crashing.
+def _start_group(tasks: Sequence[Tuple[SweepJob, int]]
+                 ) -> Optional[Tuple[multiprocessing.Process, Any]]:
+    """Start one group in a fresh worker process.
+
+    Returns the process and the read end of its pipe, or None when no
+    process can be started (platforms without working semaphores or
+    fork support raise ``ImportError``/``OSError``); the group then runs
+    in the calling process.  The worker's program, stream and trained
+    warm structures are freed when it exits, with no teardown code.
     """
     try:
-        return multiprocessing.Pool(
-            workers, maxtasksperchild=None if keep_workers else 1)
-    except (ImportError, OSError, ValueError):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+    except (ImportError, OSError):
         return None
-
-
-def _attempt(job: SweepJob, attempt: int,
-             timeout: Optional[float]) -> Tuple:
-    """One inline attempt at *job*; returns a structured outcome tuple.
-
-    With a timeout configured the job runs in a fresh single-worker pool
-    so a hung simulation can actually be killed (``terminate``); without
-    one — or when multiprocessing is unavailable — it runs in-process.
-    Outcomes: ``("ok", payload, seconds)``, ``("error", type, message)``
-    or ``("timeout", "TimeoutError", message)``.
-    """
-    if timeout is not None:
-        pool = _make_pool(1, keep_workers=True)
-        if pool is not None:
-            with pool:  # __exit__ terminates: a hung worker dies here
-                try:
-                    return pool.apply_async(
-                        _pool_task, ((job, attempt),)).get(timeout)
-                except multiprocessing.TimeoutError:
-                    return ("timeout", "TimeoutError",
-                            f"{job.describe()} produced no result within "
-                            f"{timeout:g}s (attempt {attempt})")
-                except Exception as exc:
-                    return ("error", type(exc).__name__, str(exc))
     try:
-        payload, seconds = _execute_job(job, attempt)
-        return ("ok", payload, seconds)
-    except Exception as exc:
-        return ("error", type(exc).__name__, str(exc))
+        process = multiprocessing.Process(
+            target=_group_process, args=(writer, tasks), daemon=True)
+        process.start()
+    except (ImportError, OSError):
+        reader.close()
+        return None
+    finally:
+        # Only the worker may hold the write end: its exit then reads as
+        # end-of-file here, whether or not it sent anything.
+        writer.close()
+    return process, reader
+
+
+#: Failed outcome kind -> the sweep counter it increments.
+_FAILURE_COUNTERS = {"error": "sweep.worker_errors",
+                     "crash": "sweep.worker_crashes",
+                     "timeout": "sweep.timeouts"}
+
+
+def _run_round(groups: List[List[Tuple[SweepJob, int]]], workers: int,
+               timeout: Optional[float], stats: StatsCollector
+               ) -> Iterator[Tuple[int, Tuple[List[Tuple], Dict]]]:
+    """Run one round of groups; yields ``(index, (outcomes, group_stats))``
+    as each group finishes, in completion order.
+
+    With one worker and no *timeout* every group runs in the calling
+    process, in order; after the consumer has taken a benchmark's last
+    group, that benchmark's stream state is freed
+    (:func:`repro.sampling.prep.forget_benchmark`), except for the
+    round's final group, whose stream stays cached for the caller.
+    Otherwise each group runs in a fresh worker process, at most
+    *workers* at once.  A worker that exits without sending fails its
+    group's jobs at once (``"crash"``); one still running *timeout* ×
+    group size seconds after it started is killed (``"timeout"``).
+    """
+    last_of = {tasks[0][0].benchmark: index
+               for index, tasks in enumerate(groups)}
+
+    def inline(index: int) -> Iterator:
+        yield index, _pool_group_task(groups[index])
+        benchmark = groups[index][0][0].benchmark
+        if index < len(groups) - 1 and last_of[benchmark] == index:
+            prep.forget_benchmark(benchmark)
+
+    if workers == 1 and timeout is None:
+        for index in range(len(groups)):
+            yield from inline(index)
+        return
+    # Imported here: it pulls in subprocess and friends, which a process
+    # that never starts a worker need not hold.
+    from multiprocessing.connection import wait as wait_for
+    waiting = list(range(len(groups)))[::-1]
+    running: Dict[Any, Tuple[int, multiprocessing.Process,
+                             Optional[float]]] = {}
+    try:
+        while waiting or running:
+            while waiting and len(running) < workers:
+                index = waiting.pop()
+                started = _start_group(groups[index])
+                if started is None:
+                    stats.set("sweep.degraded", 1)
+                    yield from inline(index)
+                    continue
+                process, reader = started
+                deadline = (None if timeout is None else time.monotonic()
+                            + timeout * len(groups[index]))
+                running[reader] = (index, process, deadline)
+            if not running:
+                continue  # every group left ran in this process
+            deadlines = [deadline for _, _, deadline in running.values()
+                         if deadline is not None]
+            patience = (max(0.0, min(deadlines) - time.monotonic())
+                        if deadlines else None)
+            for reader in wait_for(list(running), patience):
+                index, process, _ = running.pop(reader)
+                # Read before joining: a worker blocked writing a large
+                # result into a full pipe would never exit.
+                try:
+                    result = reader.recv()
+                except EOFError:
+                    result = None
+                reader.close()
+                process.join()
+                if result is None:
+                    result = ([("crash", "WorkerCrash",
+                                f"worker exited with code "
+                                f"{process.exitcode} before returning "
+                                "its group")] * len(groups[index]), {})
+                yield index, result
+            now = time.monotonic()
+            for reader, (index, process, deadline) in list(running.items()):
+                if deadline is not None and now >= deadline:
+                    del running[reader]
+                    _reap(process, reader)
+                    yield index, ([("timeout", "TimeoutError",
+                                    f"no result within "
+                                    f"{timeout * len(groups[index]):g}s")]
+                                  * len(groups[index]), {})
+    finally:
+        for reader, (_, process, _) in running.items():
+            _reap(process, reader)
+
+
+def _reap(process: multiprocessing.Process, reader) -> None:
+    """Kill a worker process that owes no more results, and reap it."""
+    process.kill()
+    process.join()
+    reader.close()
 
 
 def default_workers() -> int:
-    """Worker-pool width: ``REPRO_SWEEP_WORKERS`` or the CPU count."""
+    """Worker processes at once: ``REPRO_SWEEP_WORKERS`` or the CPU count."""
     override = os.environ.get(WORKERS_ENV)
     if override:
         return max(1, int(override))
@@ -798,23 +766,14 @@ def default_retries() -> int:
 def default_job_timeout() -> Optional[float]:
     """Per-job wall-clock timeout in seconds: ``REPRO_JOB_TIMEOUT``.
 
-    Unset or 0 means no explicit timeout (pool waits are still bounded
-    by :data:`CRASH_GUARD_SECONDS` so a crashed worker cannot hang the
-    sweep forever).
+    Unset or 0 means no timeout.  A crashed worker needs none: its
+    group fails as soon as the worker's pipe closes.
     """
     override = os.environ.get(TIMEOUT_ENV)
     if override:
         value = float(override)
         return value if value > 0 else None
     return None
-
-
-def default_backoff() -> float:
-    """Retry backoff base in seconds: ``REPRO_SWEEP_BACKOFF`` or 0.05."""
-    override = os.environ.get(BACKOFF_ENV)
-    if override:
-        return max(0.0, float(override))
-    return DEFAULT_BACKOFF
 
 
 @dataclass(frozen=True)
@@ -905,7 +864,8 @@ class SweepReport:
                 f"digests={int(stats.get('prep.snapshot_trains'))} "
                 f"structures={int(stats.get('prep.structure_trains'))}")
         if stats.get("sweep.degraded"):
-            lines.append("degraded      serial (multiprocessing unavailable)")
+            lines.append("degraded      in-process (no worker process "
+                         "could start)")
         for failure in self.failures.values():
             lines.append(f"FAILED  {failure.describe()}")
         return "sweep summary\n" + "\n".join("  " + line for line in lines)
@@ -954,12 +914,11 @@ def run_sweep(jobs: Sequence[SweepJob],
                                            float], None]] = None,
               retries: Optional[int] = None,
               timeout: Optional[float] = None,
-              backoff: Optional[float] = None,
               observer: Optional[Callable[[str, SweepJob, dict],
                                           None]] = None,
               group_streams: Optional[bool] = None
               ) -> SweepReport:
-    """Run every job, fanning cache misses out over a process pool.
+    """Run every job, fanning cache misses out over worker processes.
 
     Results are merged back in job order, so the report is deterministic
     regardless of worker scheduling.  The lookup order per job is:
@@ -967,28 +926,27 @@ def run_sweep(jobs: Sequence[SweepJob],
     1. *memo* — the caller's in-process L1 (e.g. the experiment-layer
        memo), consulted and updated in place when given;
     2. the on-disk :class:`ResultCache` (L2, persistent across processes);
-    3. execution — inline for ``workers == 1`` (or when multiprocessing
-       is unavailable), otherwise over ``multiprocessing.Pool(workers)``.
+    3. execution, in rounds of *groups*.
 
-    On the pool path, jobs sharing an oracle stream — the same
-    ``(benchmark, length, warm)`` triple — are scheduled as one *group*
-    on one worker (*group_streams*, default from ``REPRO_SWEEP_GROUP``,
-    on unless set falsy), so the group pays stream emulation and
-    warm-snapshot training once; the per-benchmark prep caches
-    (:mod:`repro.sampling.prep`) are process-local, and scattering
-    stream-siblings across workers rebuilds them per worker.  Each group
-    runs in a fresh worker process, which exits with everything the
-    group loaded; scattered sweeps keep their workers.  On the serial
-    path the last group of each benchmark but the sweep's final one
-    frees that benchmark's stream state
-    (:func:`repro.sampling.prep.forget_benchmark`), so the calling
-    process, too, holds one stream at a time, and keeps the final
-    benchmark's for its next sweep.  Grouping
-    never changes results — only worker placement — and the merge stays
-    in submission order, so grouped and ungrouped sweeps produce
-    identical reports (the test suite asserts this).  Group sizes are
-    reported as ``sweep.stream_groups``; a group's wait bound scales
-    with its size so grouping cannot starve the per-job *timeout*.
+    Jobs sharing an oracle stream — the same ``(benchmark, length,
+    warm)`` triple — form one group (*group_streams*, default from
+    ``REPRO_SWEEP_GROUP``, on unless set falsy), so the group pays
+    stream emulation and warm-snapshot training once; the per-benchmark
+    prep caches (:mod:`repro.sampling.prep`) are process-local, and
+    scattering stream-siblings across workers rebuilds them per worker.
+    With grouping off every job is a group of its own.  Each group runs
+    in a fresh worker process, at most *workers* at once, and the
+    process exits with everything the group loaded.  A round with one
+    worker and no *timeout* runs its groups in the calling process
+    instead, and frees a benchmark's stream state after its last group
+    (:func:`repro.sampling.prep.forget_benchmark`), so that process,
+    too, holds one stream at a time; the round's final benchmark keeps
+    its state for the caller's next sweep.  Grouping never changes
+    results — only worker placement — and the merge stays in submission
+    order (a group merges once every earlier group has), so grouped
+    and ungrouped sweeps produce identical reports (the test suite
+    asserts this).  Group sizes are reported as
+    ``sweep.stream_groups``.
 
     A group's jobs that also share a sampling selector (and do not
     checkpoint) are *co-simulated*: one
@@ -999,17 +957,19 @@ def run_sweep(jobs: Sequence[SweepJob],
     ``REPRO_SWEEP_GROUP=0`` is therefore the serial reference.
     Co-simulation is bit-identical to running the group's jobs back to
     back — the parity tests assert it — and its savings surface as
-    ``sweep.cosim_*`` counters in the report.  A failed co-sim batch
-    degrades to per-job inline retries.
+    ``sweep.cosim_*`` counters in the report.
 
-    Execution is fault tolerant: a job whose pool attempt raises, times
-    out (*timeout* seconds of wall clock waiting on its result, env
-    ``REPRO_JOB_TIMEOUT``) or loses its worker is re-attempted inline up
-    to *retries* times (env ``REPRO_SWEEP_RETRIES``) with exponential
-    backoff (*backoff* base seconds, env ``REPRO_SWEEP_BACKOFF``); a job
-    that fails every attempt becomes a :class:`JobFailure` in
-    ``report.failures`` instead of aborting the sweep.  ``timeout=0``
-    disables the explicit timeout.
+    Execution is fault tolerant.  A job fails when it raises
+    (``sweep.worker_errors``), when its worker exits without returning
+    its group (``sweep.worker_crashes``), or when its worker is still
+    running *timeout* × group size seconds after it started (env
+    ``REPRO_JOB_TIMEOUT``; ``timeout=0`` disables) and is killed
+    (``sweep.timeouts``).  Round 0 runs the groups; each of up to
+    *retries* further rounds (env ``REPRO_SWEEP_RETRIES``) runs the
+    jobs that failed in the last one, one job per group, and passes the
+    round number to the fault plan as the attempt.  A job that fails
+    every round becomes a :class:`JobFailure` in ``report.failures``
+    instead of aborting the sweep.
 
     *progress* fires per executed job; *observer*, when given, also sees
     the telemetry-only events — ``("cached", job, {"source"})`` per
@@ -1026,7 +986,6 @@ def run_sweep(jobs: Sequence[SweepJob],
     retries = default_retries() if retries is None else max(0, retries)
     timeout = default_job_timeout() if timeout is None else \
         (timeout if timeout > 0 else None)
-    backoff = default_backoff() if backoff is None else max(0.0, backoff)
 
     cache = cache if cache is not None else ResultCache()
     unique: List[SweepJob] = []
@@ -1075,180 +1034,67 @@ def run_sweep(jobs: Sequence[SweepJob],
     stats.add("sweep.executed", len(pending))
     stats.set("sweep.workers", workers)
 
-    done: set = set()
-    attempts: Dict[SweepJob, int] = {job: 0 for job in pending}
-    last_error: Dict[SweepJob, Tuple[str, str]] = {}
-    retry_queue: List[SweepJob] = []
+    # (job, error type, message) for each job that failed this round.
+    failed: List[Tuple[SweepJob, str, str]] = []
+    attempt = 0
 
-    def merge(job: SweepJob, payload: Dict[str, Any],
-              seconds: float) -> None:
-        """Fold one successful outcome into the report (job order for
-        the pool phase, recovery order for retried jobs)."""
-        done.add(job)
-        result = _result_from_payload(payload)
-        cache.store(job.cache_key(), job, result, stats=stats)
-        report.results[job] = result
-        report.job_seconds[job] = seconds
-        stats.add("sweep.exec_seconds", seconds)
-        stats.maximum("sweep.max_attempts", attempts[job])
-        if memo is not None:
-            memo[job] = result
-        if progress is not None:
-            progress(job, result, seconds)
+    def settle(group: List[SweepJob], outcomes: List[Tuple],
+               group_stats: Dict[str, float]) -> None:
+        """Fold one finished group into the report, in job order.
 
-    def fold_group_stats(group_stats: Dict[str, float]) -> None:
-        """Fold a group task's counters into the sweep stats.
-
-        Pool workers are separate processes, so co-sim/prep savings
-        travel back in the group task's return value; ``cosim.*`` keys
-        land under ``sweep.cosim_*``, prep deltas keep their names.
+        Worker processes cannot report through process-global stats, so
+        co-sim/prep savings travel back with the outcomes; ``cosim.*``
+        keys land under ``sweep.cosim_*``, prep deltas keep their names.
         """
         for key, value in group_stats.items():
             if key.startswith("cosim."):
                 key = "sweep.cosim_" + key[len("cosim."):]
             stats.add(key, value)
+        for job, (kind, *detail) in zip(group, outcomes):
+            if kind != "ok":
+                stats.add(_FAILURE_COUNTERS[kind])
+                failed.append((job, *detail))
+                continue
+            payload, seconds = detail
+            if attempt:
+                stats.add("sweep.recovered")
+            result = _result_from_payload(payload)
+            cache.store(job.cache_key(), job, result, stats=stats)
+            report.results[job] = result
+            report.job_seconds[job] = seconds
+            stats.add("sweep.exec_seconds", seconds)
+            stats.maximum("sweep.max_attempts", attempt + 1)
+            if memo is not None:
+                memo[job] = result
+            if progress is not None:
+                progress(job, result, seconds)
 
-    def run_group_inline(group: List[SweepJob]) -> None:
-        """One group, executed in-process (serial path, no timeout)."""
-        for job in group:
-            attempts[job] = 1
-        outcomes, group_stats = _pool_group_task(
-            [(job, 0) for job in group])
-        fold_group_stats(group_stats)
-        for job, outcome in zip(group, outcomes):
-            if outcome[0] == "ok":
-                merge(job, outcome[1], outcome[2])
-            else:
-                stats.add("sweep.worker_errors")
-                last_error[job] = (outcome[1], outcome[2])
-                retry_queue.append(job)
+    while groups:
+        finished: Dict[int, Tuple[List[Tuple], Dict[str, float]]] = {}
+        merged = 0
+        with contextlib.closing(_run_round(
+                [[(job, attempt) for job in group] for group in groups],
+                min(workers, len(groups)), timeout, stats)) as round_:
+            for index, result in round_:
+                finished[index] = result
+                while merged in finished:
+                    settle(groups[merged], *finished.pop(merged))
+                    merged += 1
+        if not failed or attempt == retries:
+            break
+        attempt += 1
+        groups, failed = [[job] for job, _, _ in failed], []
+        for (job,) in groups:
+            stats.add("sweep.retries")
+            _notify(observer, "retry", job, attempt=attempt + 1)
 
-    if pending:
-        pool = None
-        if workers > 1:
-            # Grouped: one fresh worker per stream group (_make_pool).
-            pool = (_make_pool(workers) if group_streams
-                    else _make_pool(workers, keep_workers=True))
-        if workers > 1 and pool is None:
-            stats.set("sweep.degraded", 1)
-        if pool is None:
-            if timeout is None:
-                # Serial (or degraded) path: groups still run as groups
-                # — sharing prep work and co-simulating exactly like a
-                # pool worker would — so single-stream sweeps (where the
-                # worker clamp lands on 1) get the same savings.  Like
-                # a pool worker's exit, a benchmark's last group frees
-                # its stream state before the sweep moves on, so the
-                # process holds one stream at a time.  The final
-                # group's stays cached for the caller: a later sweep on
-                # that stream reuses it.
-                last_group = {group[0].benchmark: index
-                              for index, group in enumerate(groups)}
-                final = len(groups) - 1
-                for index, group in enumerate(groups):
-                    run_group_inline(group)
-                    if (index < final
-                            and last_group[group[0].benchmark] == index):
-                        prep.forget_benchmark(group[0].benchmark)
-            else:
-                # A timeout needs per-job kill-able pools: every job
-                # goes through the inline attempt loop below, first
-                # attempt included.
-                retry_queue = list(pending)
-        else:
-            # The pool is context-managed: __exit__ calls terminate(),
-            # so an error path (or a worker still chewing on a hung or
-            # timed-out job) cannot block in close()/join() or leak
-            # worker processes.
-            wait = timeout if timeout is not None else CRASH_GUARD_SECONDS
-            with pool:
-                # One async task per stream group (a singleton list per
-                # job when grouping is off): the worker runs the group's
-                # jobs back to back and returns per-job outcomes in job
-                # order, so the merge below is still deterministic.
-                handles = [
-                    (group,
-                     pool.apply_async(_pool_group_task,
-                                      ([(job, 0) for job in group],)))
-                    for group in groups]
-                # No more tasks.  A worker that exits while any task
-                # is still running is replaced all the same, so a
-                # grouped sweep forks one idle worker more than it has
-                # groups (3 groups on 2 workers start 4); the idle
-                # fork sits beside one busy worker, not two, so it
-                # never sets the sweep's peak memory.
-                pool.close()
-                for group, handle in handles:
-                    for job in group:
-                        attempts[job] = 1
-                    # The whole group shares one pool result, so the
-                    # wait bound scales with the group size: each job
-                    # still gets its full per-job budget.
-                    try:
-                        outcomes, group_stats = handle.get(
-                            wait * len(group))
-                    except multiprocessing.TimeoutError:
-                        # Either a job overran its budget or the worker
-                        # died and the result will never arrive; every
-                        # job of the group is retried inline (completed
-                        # siblings re-execute — fault-path correctness
-                        # over efficiency).
-                        for job in group:
-                            stats.add("sweep.timeouts"
-                                      if timeout is not None
-                                      else "sweep.worker_crashes")
-                            last_error[job] = (
-                                "TimeoutError",
-                                f"no result within {wait * len(group):g}s "
-                                "(worker hung, overloaded or crashed)")
-                            retry_queue.append(job)
-                        continue
-                    except Exception as exc:
-                        for job in group:
-                            stats.add("sweep.worker_crashes")
-                            last_error[job] = (type(exc).__name__,
-                                               str(exc))
-                            retry_queue.append(job)
-                        continue
-                    fold_group_stats(group_stats)
-                    for job, outcome in zip(group, outcomes):
-                        if outcome[0] == "ok":
-                            merge(job, outcome[1], outcome[2])
-                        else:
-                            stats.add("sweep.worker_errors")
-                            last_error[job] = (outcome[1], outcome[2])
-                            retry_queue.append(job)
-
-    # Inline (re-)execution: first attempts on the serial path, recovery
-    # attempts for everything the pool could not finish.
-    for job in retry_queue:
-        while job not in done and attempts[job] <= retries:
-            n = attempts[job]
-            if n:  # a retry, not a first attempt
-                stats.add("sweep.retries")
-                _notify(observer, "retry", job, attempt=n + 1)
-                delay = backoff * (2 ** (n - 1))
-                if delay > 0:
-                    time.sleep(delay)
-            attempts[job] = n + 1
-            outcome = _attempt(job, n, timeout)
-            if outcome[0] == "ok":
-                if n:
-                    stats.add("sweep.recovered")
-                merge(job, outcome[1], outcome[2])
-            else:
-                stats.add("sweep.timeouts" if outcome[0] == "timeout"
-                          else "sweep.worker_errors")
-                last_error[job] = (outcome[1], outcome[2])
-        if job not in done:
-            error_type, message = last_error.get(
-                job, ("UnknownError", "no attempt recorded"))
-            report.failures[job] = JobFailure(
-                job=job, error_type=error_type, message=message,
-                attempts=attempts[job])
-            stats.add("sweep.failures")
-            _notify(observer, "failure", job, error=error_type,
-                    attempts=attempts[job])
+    for job, error_type, message in failed:
+        report.failures[job] = JobFailure(
+            job=job, error_type=error_type, message=message,
+            attempts=attempt + 1)
+        stats.add("sweep.failures")
+        _notify(observer, "failure", job, error=error_type,
+                attempts=attempt + 1)
 
     wall = time.perf_counter() - start
     stats.set("sweep.wall_seconds", wall)
@@ -1273,10 +1119,14 @@ def parallel_map(fn: Callable, items: Sequence,
     items = list(items)
     workers = workers if workers is not None else default_workers()
     workers = max(1, min(workers, len(items)) if items else 1)
-    pool = _make_pool(workers, keep_workers=True) if workers > 1 else None
-    if pool is None:
-        return [fn(item) for item in items]
-    # Context-managed: terminate() on exit, so an exception mid-map
-    # cannot hang in close()/join() behind unfinished jobs.
-    with pool:
-        return pool.map(fn, items)
+    if workers > 1:
+        try:
+            pool = multiprocessing.Pool(workers)
+        except (ImportError, OSError, ValueError):
+            pass  # no working multiprocessing here: map in-process
+        else:
+            # Context-managed: terminate() on exit, so an exception
+            # mid-map cannot hang in close()/join() behind unfinished jobs.
+            with pool:
+                return pool.map(fn, items)
+    return [fn(item) for item in items]

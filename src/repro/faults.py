@@ -8,7 +8,7 @@ injection points that tests and the CI smoke job flip on:
 * ``worker_exception`` — the job raises :class:`InjectedFault` instead of
   simulating (exercises retry / structured-failure handling);
 * ``worker_crash`` — the worker process dies with ``os._exit`` mid-job
-  (exercises crash detection and inline re-execution);
+  (exercises crash detection and retry rounds);
 * ``slow_job`` — the job sleeps before simulating (exercises per-job
   wall-clock timeouts);
 * ``truncated_write`` — :class:`~repro.experiments.runner.ResultCache`
@@ -21,8 +21,8 @@ injection points that tests and the CI smoke job flip on:
   ``attempts`` selects checkpoint ordinals here).
 
 Faults are configured through the ``REPRO_FAULTS`` environment variable
-so they propagate to ``multiprocessing`` pool workers without any shared
-state.  The spec is a semicolon-separated list of directives::
+so they propagate to sweep worker processes without any shared state.
+The spec is a semicolon-separated list of directives::
 
     REPRO_FAULTS="worker_exception match=gzip attempts=0; slow_job seconds=0.5 attempts=*"
 
@@ -230,7 +230,7 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 def install(spec: str) -> FaultPlan:
-    """Install *spec* process-wide (and for future pool workers)."""
+    """Install *spec* process-wide (and for future worker processes)."""
     plan = FaultPlan.parse(spec)  # validate before exporting
     os.environ[FAULTS_ENV] = spec
     return plan

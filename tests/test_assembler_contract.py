@@ -14,31 +14,67 @@
 * **programs** — the :func:`~tests.test_stream_digests.program_digest`
   of every hand-written program: each ``ALL_KERNELS`` entry, each
   :mod:`repro.workloads.kernels_extra` kernel at fixed small inputs,
-  ``tests/test_encoding.py::EXAMPLE`` and :data:`FORMS`, which writes
-  every mnemonic in each operand form the assembler accepts.  Between
-  them they use forms the workload generator never emits.
+  :data:`EXAMPLE` (the program ``tests/test_encoding.py`` round-trips)
+  and :data:`FORMS`, which writes every mnemonic in each operand form
+  the assembler accepts.  Between them they use forms the workload
+  generator never emits.
 
 Assembler changes meant to be invisible keep both tables.  When a move
 is intended, re-bless from the repository root and review the diff::
 
     PYTHONPATH=src python -m tests.test_assembler_contract
+
+The module imports no pytest (its cases are parametrized by
+:func:`pytest_generate_tests`), so the tables can be re-blessed and
+diffed on any Python.
 """
 
 import functools
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.errors import AssemblerError
 from repro.isa.assembler import assemble
 from repro.isa.instructions import MNEMONIC_TO_OPCODE
 from repro.workloads import kernels_extra
 from repro.workloads.kernels import ALL_KERNELS
-from tests.test_encoding import EXAMPLE
 from tests.test_stream_digests import program_digest
 
 TABLE = Path(__file__).with_name("assembler_contract.json")
+
+#: A program in every instruction format, which ``tests/test_encoding.py``
+#: encodes, decodes and disassembles.
+EXAMPLE = """
+    main:
+        li   t0, -300
+        lui  t1, 0xFFFF
+        ori  t1, t1, 0xFFFF
+        andi t2, t1, 0x8000
+        ld   t3, 8(gp)
+        st   t3, 16(gp)
+        fld  f2, 24(gp)
+        fst  f2, 32(gp)
+        fcvt f1, t0
+        fadd f3, f1, f2
+        fmul f4, f3, f3
+        beq  t0, t1, main
+        blt  t1, t0, fwd
+        j    fwd
+    fwd:
+        jal  helper
+        jal  t4, helper
+        jalr t5
+        mul  t6, t0, t1
+        div  t7, t0, t1
+        sra  s0, t0, t1
+        sltu s1, t0, t1
+        nop
+        out  s0
+        halt
+    helper:
+        jr   t5
+        ret
+"""
 
 #: Two lines in front of every error case, so its line number is not 1.
 PREAMBLE = "main:\n    nop\n"
@@ -250,7 +286,15 @@ def test_table_covers_every_case():
     assert sorted(table["programs"]) == sorted(PROGRAMS)
 
 
-@pytest.mark.parametrize("group", list(ERROR_CASES))
+def pytest_generate_tests(metafunc):
+    """Parametrize ``group`` over the error groups, ``name`` over the
+    programs."""
+    if "group" in metafunc.fixturenames:
+        metafunc.parametrize("group", list(ERROR_CASES))
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(PROGRAMS))
+
+
 def test_error_text_and_line(group):
     errors = _table()["errors"]
     assert ({source: _assembler_error(source)
@@ -258,7 +302,6 @@ def test_error_text_and_line(group):
             == {source: errors[source] for source in ERROR_CASES[group]})
 
 
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_program_digest(name):
     assert program_digest(PROGRAMS[name]()) == _table()["programs"][name]
 

@@ -1,6 +1,6 @@
 """Crash-safety and concurrency tests for the persistent result cache:
-orphaned-tmp reaping, racing clears, size-budget eviction, and a
-multi-process hammer over one shared directory."""
+orphaned-tmp reaping, racing clears, and a multi-process hammer over
+one shared directory."""
 
 import json
 import multiprocessing
@@ -12,11 +12,7 @@ import pytest
 
 from repro.core.simulation import SimulationResult
 from repro.experiments import runner
-from repro.experiments.runner import (
-    ResultCache,
-    SweepJob,
-    parse_cache_budget,
-)
+from repro.experiments.runner import ResultCache, SweepJob
 from repro.stats import StatsCollector
 
 LENGTH = 1500
@@ -38,37 +34,6 @@ def seed_entries(cache, count, start=0):
         cache.store(key, job, make_result(cycles=100 + index))
         keys.append(key)
     return keys
-
-
-class TestBudgetParsing:
-    @pytest.mark.parametrize("text,expected", [
-        (None, None),
-        ("", None),
-        ("0", None),
-        ("1024", 1024),
-        ("64K", 64 * 1024),
-        ("64k", 64 * 1024),
-        ("256M", 256 * 1024 ** 2),
-        ("256MB", 256 * 1024 ** 2),
-        ("2G", 2 * 1024 ** 3),
-        ("1.5K", 1536),
-        (" 512 ", 512),
-    ])
-    def test_accepted_forms(self, text, expected):
-        assert parse_cache_budget(text) == expected
-
-    @pytest.mark.parametrize("text", ["lots", "12Q", "M", "-"])
-    def test_garbage_raises(self, text):
-        with pytest.raises(ValueError):
-            parse_cache_budget(text)
-
-    def test_env_reaches_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(runner.CACHE_BUDGET_ENV, "4K")
-        assert ResultCache(tmp_path).budget == 4096
-
-    def test_explicit_budget_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(runner.CACHE_BUDGET_ENV, "4K")
-        assert ResultCache(tmp_path, budget=999).budget == 999
 
 
 class TestStaleTmpReaping:
@@ -132,13 +97,6 @@ class TestStaleTmpReaping:
         monkeypatch.undo()
         assert stats.get("sweep.cache_store_lost") == 1
         assert cache.load(job.cache_key()) is None
-
-    def test_ttl_env_override(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        orphan = self._orphan(tmp_path, "ffff.tmp.999-0", age=10)
-        monkeypatch.setenv(runner.CACHE_TMP_TTL_ENV, "5")
-        assert cache.reap_stale_tmp() == 1
-        assert not orphan.exists()
 
     def test_failed_store_leaves_no_tmp(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
@@ -211,50 +169,6 @@ class TestClearRaces:
 
         monkeypatch.setattr(pathlib.Path, "glob", racing_glob)
         assert cache.clear() == 1  # no FileNotFoundError escape
-
-
-class TestBudgetEviction:
-    def test_store_evicts_oldest_mtime_first(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = seed_entries(cache, 3)
-        size = cache.total_bytes() // 3
-        now = time.time()
-        for rank, key in enumerate(keys):
-            stamp = now - 1000 + rank  # keys[0] oldest ... keys[2] newest
-            os.utime(cache._path(key), (stamp, stamp))
-        cache.budget = int(size * 2.5)  # room for two entries + slack
-        stats = StatsCollector()
-        job = SweepJob("w16", "gzip", LENGTH + 99)
-        cache.store(job.cache_key(), job, make_result(), stats=stats)
-        assert cache.load(keys[0]) is None       # oldest: evicted
-        assert cache.load(job.cache_key()) is not None  # newest: kept
-        assert cache.total_bytes() <= cache.budget
-        assert stats.get("sweep.cache_evicted") >= 1
-
-    def test_load_refreshes_recency(self, tmp_path):
-        cache = ResultCache(tmp_path, budget=1 << 30)
-        keys = seed_entries(cache, 2)
-        now = time.time()
-        for rank, key in enumerate(keys):
-            stamp = now - 1000 + rank
-            os.utime(cache._path(key), (stamp, stamp))
-        assert cache.load(keys[0]) is not None   # touch the oldest
-        size = cache.total_bytes() // 2
-        cache.budget = int(size * 1.5)           # room for one entry
-        cache._evict_over_budget(None)
-        assert cache.load(keys[0]) is not None   # hot entry survived
-        assert cache.load(keys[1]) is None       # cold entry evicted
-
-    def test_no_budget_never_evicts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.budget is None
-        seed_entries(cache, 5)
-        assert len(cache) == 5
-
-    def test_under_budget_is_untouched(self, tmp_path):
-        cache = ResultCache(tmp_path, budget=1 << 30)
-        seed_entries(cache, 3)
-        assert len(cache) == 3
 
 
 # ---------------------------------------------------------------------------

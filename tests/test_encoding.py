@@ -18,38 +18,7 @@ from repro.isa.program import Program
 from repro.workloads.characteristics import WorkloadSpec
 from repro.workloads.generator import generate_program
 from repro.workloads.kernels import ALL_KERNELS
-
-EXAMPLE = """
-    main:
-        li   t0, -300
-        lui  t1, 0xFFFF
-        ori  t1, t1, 0xFFFF
-        andi t2, t1, 0x8000
-        ld   t3, 8(gp)
-        st   t3, 16(gp)
-        fld  f2, 24(gp)
-        fst  f2, 32(gp)
-        fcvt f1, t0
-        fadd f3, f1, f2
-        fmul f4, f3, f3
-        beq  t0, t1, main
-        blt  t1, t0, fwd
-        j    fwd
-    fwd:
-        jal  helper
-        jal  t4, helper
-        jalr t5
-        mul  t6, t0, t1
-        div  t7, t0, t1
-        sra  s0, t0, t1
-        sltu s1, t0, t1
-        nop
-        out  s0
-        halt
-    helper:
-        jr   t5
-        ret
-"""
+from tests.test_assembler_contract import EXAMPLE
 
 
 class TestRoundTrip:

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import time
 
 import pytest
 
@@ -14,7 +15,6 @@ from repro.experiments.runner import (
     JobFailure,
     ResultCache,
     SweepJob,
-    default_backoff,
     default_group_streams,
     default_job_timeout,
     default_retries,
@@ -290,7 +290,7 @@ class TestStreamGrouping:
         jobs = [SweepJob("w16", "gzip", LENGTH),
                 SweepJob("tc", "gzip", LENGTH),
                 SweepJob("tc", "mcf", LENGTH)]
-        report = run_sweep(jobs, workers=2, backoff=0.0, group_streams=True,
+        report = run_sweep(jobs, workers=2, group_streams=True,
                            cache=ResultCache(tmp_path, enabled=True))
         # Two groups -> real pool fan-out; only the faulted member of the
         # gzip group retries.
@@ -299,6 +299,27 @@ class TestStreamGrouping:
         assert len(report.results) == len(jobs)
         assert int(report.stats.get("sweep.worker_errors")) == 1
         assert int(report.stats.get("sweep.recovered")) == 1
+
+    def test_each_group_starts_one_process(self, tmp_path, monkeypatch):
+        """Three groups on two workers start three worker processes:
+        nothing replaces a worker that exits after its group."""
+        starts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            starts.append(process.name)
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting_start)
+        jobs = [SweepJob(config, bench, LENGTH)
+                for bench in ("gzip", "mcf", "vpr")
+                for config in ("w16", "tc")]
+        report = run_sweep(jobs, workers=2, group_streams=True,
+                           cache=ResultCache(tmp_path, enabled=True))
+        assert not report.failures
+        assert int(report.stats.get("sweep.stream_groups")) == 3
+        assert len(starts) == 3
 
     def test_default_group_streams_parsing(self, monkeypatch):
         monkeypatch.delenv(GROUP_ENV, raising=False)
@@ -322,7 +343,7 @@ class TestFaultTolerance:
         and the sweep still produces every result."""
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "worker_exception match=gzip attempts=0")
-        report = run_sweep(self.JOBS, workers=2, backoff=0.0,
+        report = run_sweep(self.JOBS, workers=2,
                            cache=ResultCache(tmp_path, enabled=True))
         assert not report.failures
         assert len(report.results) == len(self.JOBS)
@@ -336,7 +357,7 @@ class TestFaultTolerance:
                                             enabled=True))
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "worker_exception match=w16 attempts=0")
-        faulty = run_sweep(self.JOBS, workers=2, backoff=0.0,
+        faulty = run_sweep(self.JOBS, workers=2,
                            cache=ResultCache(tmp_path / "faulty",
                                              enabled=True))
         assert not faulty.failures
@@ -348,7 +369,7 @@ class TestFaultTolerance:
         sweep-wide crash; the other jobs still succeed."""
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "worker_exception match=gzip attempts=*")
-        report = run_sweep(self.JOBS, workers=2, retries=1, backoff=0.0,
+        report = run_sweep(self.JOBS, workers=2, retries=1,
                            cache=ResultCache(tmp_path, enabled=True))
         assert len(report.results) == 1
         assert len(report.failures) == 1
@@ -366,7 +387,7 @@ class TestFaultTolerance:
         is killed and retried; the retry (not slowed) succeeds."""
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "slow_job match=gzip seconds=30 attempts=0")
-        report = run_sweep(self.JOBS, workers=2, timeout=4.0, backoff=0.0,
+        report = run_sweep(self.JOBS, workers=2, timeout=4.0,
                            cache=ResultCache(tmp_path, enabled=True))
         assert not report.failures
         assert len(report.results) == len(self.JOBS)
@@ -380,7 +401,6 @@ class TestFaultTolerance:
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "slow_job match=gzip seconds=30 attempts=*")
         report = run_sweep(self.JOBS, workers=2, retries=1, timeout=2.0,
-                           backoff=0.0,
                            cache=ResultCache(tmp_path, enabled=True))
         assert len(report.failures) == 1
         failure = report.failures[self.JOBS[0]]
@@ -388,15 +408,37 @@ class TestFaultTolerance:
         assert report.results[self.JOBS[1]] is not None
 
     def test_worker_crash_recovers_inline(self, tmp_path, monkeypatch):
-        """A worker that dies mid-job (os._exit) loses its task silently;
-        the bounded wait notices and the job re-executes inline."""
+        """A worker that dies mid-job (os._exit) sends nothing; its
+        closed pipe fails the job at once, not at the timeout, and the
+        retry round re-executes it."""
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "worker_crash match=mcf attempts=0")
-        report = run_sweep(self.JOBS, workers=2, timeout=6.0, backoff=0.0,
+        report = run_sweep(self.JOBS, workers=2, timeout=6.0,
                            cache=ResultCache(tmp_path, enabled=True))
         assert not report.failures
         assert len(report.results) == len(self.JOBS)
+        assert int(report.stats.get("sweep.worker_crashes")) == 1
         assert int(report.stats.get("sweep.recovered")) == 1
+
+    def test_grouped_crash_without_timeout_recovers(self, tmp_path,
+                                                    monkeypatch):
+        """With no timeout at all, a crashed group is still noticed as
+        soon as its worker exits, and its jobs retry one per group."""
+        monkeypatch.setenv(faults.FAULTS_ENV,
+                           "worker_crash match=mcf attempts=0")
+        monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
+        jobs = [SweepJob(config, bench, LENGTH)
+                for bench in ("gzip", "mcf")
+                for config in ("w16", "tc", "pr-2x8w")]
+        start = time.perf_counter()
+        report = run_sweep(jobs, workers=2, timeout=None,
+                           group_streams=True,
+                           cache=ResultCache(tmp_path, enabled=True))
+        assert time.perf_counter() - start < 60
+        assert not report.failures
+        assert len(report.results) == len(jobs)
+        assert int(report.stats.get("sweep.worker_crashes")) == 3
+        assert int(report.stats.get("sweep.recovered")) == 3
 
     def test_corrupt_cache_entry_quarantined_and_reexecuted(
             self, tmp_path, monkeypatch):
@@ -428,10 +470,10 @@ class TestFaultTolerance:
 
     def test_degrades_to_serial_without_multiprocessing(self, tmp_path,
                                                         monkeypatch):
-        """When no pool can be created the sweep runs serial inline
-        instead of crashing."""
+        """When no worker process can start, each group runs inline
+        instead of crashing the sweep."""
         from repro.experiments import runner as runner_mod
-        monkeypatch.setattr(runner_mod, "_make_pool", lambda workers: None)
+        monkeypatch.setattr(runner_mod, "_start_group", lambda tasks: None)
         report = run_sweep(self.JOBS, workers=2,
                            cache=ResultCache(tmp_path, enabled=True))
         assert not report.failures
@@ -441,11 +483,9 @@ class TestFaultTolerance:
     def test_no_worker_processes_leak(self, tmp_path, monkeypatch):
         """After a sweep with hung (timed-out) jobs, every pool process
         must be gone — terminate() on the error path, no zombies."""
-        import time
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "slow_job match=gzip seconds=60 attempts=*")
         report = run_sweep(self.JOBS, workers=2, retries=0, timeout=2.0,
-                           backoff=0.0,
                            cache=ResultCache(tmp_path, enabled=True))
         assert len(report.failures) == 1
         deadline = time.time() + 10
@@ -457,7 +497,7 @@ class TestFaultTolerance:
                                                        monkeypatch):
         monkeypatch.setenv(faults.FAULTS_ENV,
                            "worker_exception match=gzip attempts=*")
-        report = run_sweep(self.JOBS, workers=1, retries=0, backoff=0.0,
+        report = run_sweep(self.JOBS, workers=1, retries=0,
                            cache=ResultCache(tmp_path, enabled=True))
         summary = report.summary()
         assert "failures      1" in summary
@@ -485,12 +525,6 @@ class TestHelpers:
         assert default_job_timeout() == 12.5
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0")
         assert default_job_timeout() is None
-
-    def test_default_backoff_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_BACKOFF", "0.25")
-        assert default_backoff() == 0.25
-        monkeypatch.delenv("REPRO_SWEEP_BACKOFF")
-        assert default_backoff() == 0.05
 
     def test_parallel_map_preserves_order(self):
         items = list(range(20))
