@@ -147,7 +147,7 @@ class Processor:
                                    self._oracle.ea)
         self.renamer = self._build_renamer()
         #: Decoded-uop cache (recurring fragments reuse one immutable
-        #: :class:`~repro.core.uop.DecodedUop` per static instruction) and
+        #: :class:`~repro.core.uop.DecodedUop` per decoded form) and
         #: the batched state (flat oracle PCs plus per-static-fragment
         #: metadata), both the shared stream's.
         self.decode_cache = shared.decode_cache

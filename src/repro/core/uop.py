@@ -6,12 +6,14 @@ operand to its *producer* (another MicroOp, or a
 :class:`PlaceholderProducer` created by parallel rename's phase 1 for a
 predicted live-out that has not been renamed yet).
 
-The :class:`DecodeCache` holds one immutable :class:`DecodedUop` per
-``(pc, instruction)``: the dataflow view (zero-register-filtered sources
+The :class:`DecodeCache` maps each ``(pc, instruction)`` to an immutable
+:class:`DecodedUop`: the dataflow view (zero-register-filtered sources
 and destination) plus the functional-unit pool and latency-table key the
 scheduler needs.  Recurring fragments — the overwhelmingly common case,
 since fetch walks the same loops over and over — reuse the cached entry
-instead of re-deriving this metadata for every dynamic instance.
+instead of re-deriving this metadata for every dynamic instance, and
+instructions with the same decoded form share one ``DecodedUop``: a
+whole program has a few hundred forms.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ LATENCY_KEY: Dict[OpClass, str] = {
 
 class DecodedUop:
     """Immutable decode/dependence metadata shared by every dynamic
-    instance of one static instruction.
+    instance of the static instructions with one decoded form.
 
     Attributes:
         srcs: source architectural registers with ``r0`` filtered out —
@@ -91,10 +93,13 @@ class DecodeCache:
 
     One cache serves one processor instance.  Entries are stored under
     the PC with the instruction object kept alongside and verified by
-    identity on every hit: hashing the PC (a small int) is far cheaper
-    than hashing the instruction dataclass, and the identity check keeps
-    the mapping honest if a different instruction object is ever
-    presented for the same address (self-modifying test programs).
+    identity on every hit: hashing the PC (an int) is far cheaper than
+    hashing the instruction's six compared fields, and the identity
+    check keeps the mapping honest if a different instruction object is
+    ever presented for the same address (self-modifying test programs).
+    Entries of instructions with the same decoded form share one
+    ``DecodedUop``, so the cache keeps a few hundred of them however
+    many PCs it holds.
 
     Capacity bounds model the finite decoded-uop storage a hardware
     front-end would have; when the cache fills, the oldest entries are
@@ -103,7 +108,8 @@ class DecodeCache:
     tuning.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
+    __slots__ = ("capacity", "hits", "misses", "evictions", "_entries",
+                 "_forms")
 
     #: Fraction of the cache evicted per overflow (amortised FIFO).
     _EVICT_FRACTION = 8
@@ -116,6 +122,9 @@ class DecodeCache:
         self.misses = 0
         self.evictions = 0
         self._entries: Dict[int, Tuple[Instruction, DecodedUop]] = {}
+        #: ``(srcs, dest, pool, latency_key)`` -> the one shared
+        #: ``DecodedUop`` of that form; never evicted.
+        self._forms: Dict[Tuple, DecodedUop] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -132,7 +141,9 @@ class DecodeCache:
                 del self._entries[old]
             self.evictions += drop
         self.misses += 1
-        decoded = DecodedUop(inst)
+        form = DecodedUop(inst)
+        decoded = self._forms.setdefault(
+            (form.srcs, form.dest, form.pool, form.latency_key), form)
         self._entries[pc] = (inst, decoded)
         return decoded
 

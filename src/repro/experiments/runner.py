@@ -643,15 +643,16 @@ _FAILURE_COUNTERS = {"error": "sweep.worker_errors",
                      "timeout": "sweep.timeouts"}
 
 
-def _run_round(groups: List[List[Tuple[SweepJob, int]]], workers: int,
-               timeout: Optional[float], stats: StatsCollector
+def _run_round(groups: List[List[Tuple[SweepJob, int]]],
+               workers: Optional[int], timeout: Optional[float],
+               stats: StatsCollector
                ) -> Iterator[Tuple[int, Tuple[List[Tuple], Dict]]]:
     """Run one round of groups; yields ``(index, (outcomes, group_stats))``
     as each group finishes, in completion order.
 
-    With one worker and no *timeout* every group runs in the calling
-    process, in order; after the consumer has taken a benchmark's last
-    group, that benchmark's stream state is freed
+    With *workers* None every group runs in the calling process, in
+    order; after the consumer has taken a benchmark's last group, that
+    benchmark's stream state is freed
     (:func:`repro.sampling.prep.forget_benchmark`), except for the
     round's final group, whose stream stays cached for the caller.
     Otherwise each group runs in a fresh worker process, at most
@@ -668,7 +669,7 @@ def _run_round(groups: List[List[Tuple[SweepJob, int]]], workers: int,
         if index < len(groups) - 1 and last_of[benchmark] == index:
             prep.forget_benchmark(benchmark)
 
-    if workers == 1 and timeout is None:
+    if workers is None:
         for index in range(len(groups)):
             yield from inline(index)
         return
@@ -936,9 +937,11 @@ def run_sweep(jobs: Sequence[SweepJob],
     scattering stream-siblings across workers rebuilds them per worker.
     With grouping off every job is a group of its own.  Each group runs
     in a fresh worker process, at most *workers* at once, and the
-    process exits with everything the group loaded.  A round with one
-    worker and no *timeout* runs its groups in the calling process
-    instead, and frees a benchmark's stream state after its last group
+    process exits with everything the group loaded.  A sweep with one
+    worker and no *timeout* runs every round's groups in the calling
+    process instead (the choice is made once, so retry rounds run
+    where round 0 did), and frees a benchmark's stream state after its
+    last group
     (:func:`repro.sampling.prep.forget_benchmark`), so that process,
     too, holds one stream at a time; the round's final benchmark keeps
     its state for the caller's next sweep.  Grouping never changes
@@ -1033,6 +1036,11 @@ def run_sweep(jobs: Sequence[SweepJob],
     workers = max(1, min(workers, len(groups)) if groups else 1)
     stats.add("sweep.executed", len(pending))
     stats.set("sweep.workers", workers)
+    # Where rounds run is decided here, once: a retry round of one job
+    # still runs in a worker process when round 0 did, so a job whose
+    # worker dies on every attempt fails alone instead of ending the
+    # calling process.
+    round_workers = None if workers == 1 and timeout is None else workers
 
     # (job, error type, message) for each job that failed this round.
     failed: List[Tuple[SweepJob, str, str]] = []
@@ -1074,7 +1082,7 @@ def run_sweep(jobs: Sequence[SweepJob],
         merged = 0
         with contextlib.closing(_run_round(
                 [[(job, attempt) for job in group] for group in groups],
-                min(workers, len(groups)), timeout, stats)) as round_:
+                round_workers, timeout, stats)) as round_:
             for index, result in round_:
                 finished[index] = result
                 while merged in finished:

@@ -19,8 +19,8 @@ transfer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import FrozenInstanceError
+from typing import Dict, Optional, Tuple
 
 from repro.isa.registers import LINK_REG, ZERO_REG, reg_name
 
@@ -67,24 +67,32 @@ CONTROL_CLASSES = frozenset(
 INDIRECT_CLASSES = frozenset({OpClass.IJUMP, OpClass.ICALL, OpClass.RETURN})
 
 
-def _classify(op_class: OpClass) -> dict:
-    """The classification attributes of an instruction of *op_class*.
+def _classify(op_class: OpClass) -> Tuple:
+    """The classification of an instruction of *op_class*, in the slot
+    order of :data:`CLASSIFICATION_FIELDS`.
 
     ``nop`` and ``halt`` are the only opcodes of their classes.
     """
-    return {
-        "op_class": op_class,
-        "is_control": op_class in CONTROL_CLASSES,
-        "is_cond_branch": op_class is OpClass.BRANCH,
-        "is_indirect": op_class in INDIRECT_CLASSES,
-        "is_call": op_class in (OpClass.CALL, OpClass.ICALL),
-        "is_return": op_class is OpClass.RETURN,
-        "is_nop": op_class is OpClass.NOP,
-        "is_halt": op_class is OpClass.HALT,
-        "is_load": op_class is OpClass.LOAD,
-        "is_store": op_class is OpClass.STORE,
-        "is_mem": op_class in (OpClass.LOAD, OpClass.STORE),
-    }
+    return (
+        op_class,
+        op_class in CONTROL_CLASSES,
+        op_class is OpClass.BRANCH,
+        op_class in INDIRECT_CLASSES,
+        op_class in (OpClass.CALL, OpClass.ICALL),
+        op_class is OpClass.RETURN,
+        op_class is OpClass.NOP,
+        op_class is OpClass.HALT,
+        op_class is OpClass.LOAD,
+        op_class is OpClass.STORE,
+        op_class in (OpClass.LOAD, OpClass.STORE),
+    )
+
+
+#: The classification attributes of an :class:`Instruction`, in the
+#: order of :attr:`Opcode.classification`.
+CLASSIFICATION_FIELDS = ("op_class", "is_control", "is_cond_branch",
+                         "is_indirect", "is_call", "is_return", "is_nop",
+                         "is_halt", "is_load", "is_store", "is_mem")
 
 
 class Opcode(enum.Enum):
@@ -151,7 +159,7 @@ class Opcode(enum.Enum):
         self.mnemonic = mnemonic
         self.op_class = op_class
         #: The classification every :class:`Instruction` of this opcode
-        #: carries, keyed in instance-dict order.
+        #: carries, in the order of :data:`CLASSIFICATION_FIELDS`.
         self.classification = _classify(op_class)
 
 
@@ -159,72 +167,120 @@ class Opcode(enum.Enum):
 MNEMONIC_TO_OPCODE = {op.mnemonic: op for op in Opcode}
 
 
-@dataclass(frozen=True, init=False)
-class Instruction:
+#: The constructor arguments of an :class:`Instruction`, in order; with
+#: the classification and the dataflow view they are its fields.
+ARGUMENT_FIELDS = ("opcode", "rd", "rs1", "rs2", "imm", "target", "addr")
+
+#: Source-register tuple -> the one copy every instruction with those
+#: sources shares (50 distinct tuples over the whole suite).  Process-wide
+#: and never cleared: a key maps to an equal immutable tuple, so sharing
+#: it between callers cannot change what any of them sees.
+_SOURCES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+_shared_sources = _SOURCES.setdefault
+_new = object.__new__
+
+
+class _InstructionSlots:
+    """The storage of an :class:`Instruction`: one writable slot per
+    field.  The constructor fills a fresh object of this class with
+    plain slot stores, then makes it an ``Instruction``, whose fields
+    cannot be assigned."""
+
+    __slots__ = ARGUMENT_FIELDS + CLASSIFICATION_FIELDS + ("_srcs", "_dest")
+
+
+class Instruction(_InstructionSlots):
     """A single static instruction.
 
     ``rd``/``rs1``/``rs2`` are architectural register indices (see
     :mod:`repro.isa.registers`); unused fields are ``None``.  ``imm`` holds
     the immediate operand; for direct control transfers ``target`` holds
     the absolute byte address of the destination once the program has been
-    assembled/linked.
+    assembled/linked.  ``addr`` is the address the instruction was placed
+    at (-1 until the assembler places it); it takes no part in equality.
 
     Classification (``op_class``, ``is_control``, ``is_load``, ...) and
     dataflow (``src_regs()``/``dest_reg()``) are **precomputed once** by
-    the constructor and stored as plain attributes: the timing model
-    consults them millions of times per simulation, and attribute loads
-    are several times cheaper than property dispatch plus enum-membership
-    hashing on that path.
+    the constructor and stored as plain slots: the timing model consults
+    them millions of times per simulation, and a slot read is several
+    times cheaper than property dispatch plus enum-membership hashing on
+    that path.  Instructions are immutable: assigning or deleting a field
+    raises ``FrozenInstanceError``.  Instructions with the same sources
+    share one source tuple.
     """
 
-    opcode: Opcode
-    rd: Optional[int] = None
-    rs1: Optional[int] = None
-    rs2: Optional[int] = None
-    imm: int = 0
-    target: Optional[int] = None
-    #: Address the instruction was placed at; filled in by the assembler.
-    addr: int = field(default=-1, compare=False)
+    __slots__ = ()
 
-    def __init__(self, opcode: Opcode, rd: Optional[int] = None,
-                 rs1: Optional[int] = None, rs2: Optional[int] = None,
-                 imm: int = 0, target: Optional[int] = None,
-                 addr: int = -1) -> None:
-        # The instance is frozen, so its dict is filled directly, in one
-        # pass and in a fixed key order: the seven fields above, the
-        # opcode's classification row (``Opcode.classification``), then
-        # ``_srcs`` and ``_dest``.  Keys stored one by one in the same
-        # order every time keep the dict sharing its keys with every
-        # other instruction's (merging a fresh dict in would give each
-        # its own key table: 43 % more memory for the gcc program);
-        # pickled programs and the program digests depend on the order
-        # too.
-        classification = opcode.classification
+    def __new__(cls, opcode: Optional[Opcode] = None,
+                rd: Optional[int] = None, rs1: Optional[int] = None,
+                rs2: Optional[int] = None, imm: int = 0,
+                target: Optional[int] = None,
+                addr: int = -1) -> "Instruction":
+        if opcode is None:
+            # Unpickling a bundle of the former format: __setstate__
+            # fills the fields.
+            return _new(cls)
+        self = _new(_InstructionSlots)
+        self.opcode = opcode
+        self.rd = rd
+        self.rs1 = rs1
+        self.rs2 = rs2
+        self.imm = imm
+        self.target = target
+        self.addr = addr
+        (self.op_class, self.is_control, self.is_cond_branch,
+         self.is_indirect, is_call, is_return, self.is_nop, self.is_halt,
+         self.is_load, self.is_store, self.is_mem) = opcode.classification
+        self.is_call = is_call
+        self.is_return = is_return
         if rs1 is None:
             srcs = () if rs2 is None else (rs2,)
         else:
             srcs = (rs1,) if rs2 is None else (rs1, rs2)
-        if classification["is_return"]:
+        if is_return:
             srcs += (LINK_REG,)
-        attrs = self.__dict__
-        attrs["opcode"] = opcode
-        attrs["rd"] = rd
-        attrs["rs1"] = rs1
-        attrs["rs2"] = rs2
-        attrs["imm"] = imm
-        attrs["target"] = target
-        attrs["addr"] = addr
-        attrs.update(classification)
-        attrs["_srcs"] = srcs
-        attrs["_dest"] = (LINK_REG if rd is None and classification["is_call"]
-                          else rd)
+        self._srcs = _shared_sources(srcs, srcs)
+        self._dest = LINK_REG if rd is None and is_call else rd
+        self.__class__ = cls
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         # Pickled as its constructor arguments: a program loaded from a
-        # stream bundle is rebuilt through ``__init__``, like an
+        # stream bundle is rebuilt through the constructor, like an
         # assembled one.
         return (Instruction, (self.opcode, self.rd, self.rs1, self.rs2,
                               self.imm, self.target, self.addr))
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Bundles written before instructions pickled as their
+        # constructor arguments hold each one as its former instance
+        # dict, all 20 fields by name; rebuild from the arguments.
+        built = Instruction(*[state[name] for name in ARGUMENT_FIELDS])
+        for name in _InstructionSlots.__slots__:
+            object.__setattr__(self, name, getattr(built, name))
+
+    def _key(self) -> Tuple:
+        return (self.opcode, self.rd, self.rs1, self.rs2, self.imm,
+                self.target)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in ARGUMENT_FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
     # -- dataflow --------------------------------------------------------
 

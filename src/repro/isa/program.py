@@ -53,13 +53,24 @@ class Program:
         # Hot-path constants: fetch/emulation translate PCs to
         # instructions millions of times per run, so the bounds and the
         # address->instruction map are precomputed here rather than
-        # re-derived per lookup.
+        # re-derived per lookup.  The map is keyed by each instruction's
+        # own ``addr`` int where that is its slot's address, so a placed
+        # program holds one int per address, not two.
         self._text_end = (self.text_base
                           + len(self.instructions) * INSTRUCTION_BYTES)
         self._by_addr = {
-            self.text_base + i * INSTRUCTION_BYTES: inst
-            for i, inst in enumerate(self.instructions)
+            (inst.addr if inst.addr == slot else slot): inst
+            for slot, inst in zip(range(self.text_base, self._text_end,
+                                        INSTRUCTION_BYTES),
+                                  self.instructions)
         }
+
+    def __reduce__(self):
+        # Pickled as its constructor arguments: a load rebuilds the
+        # address map, keyed by the loaded instructions' own ints.
+        return (Program, (self.instructions, self.text_base, self.data,
+                          self.data_base, self.data_size, self.symbols,
+                          self.entry, self.name))
 
     # -- text segment ----------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Unit tests for instruction classification and dataflow metadata."""
 
+import pytest
+
 from repro.isa.instructions import (
     CONTROL_CLASSES,
     INDIRECT_CLASSES,
@@ -83,6 +85,13 @@ class TestDataflow:
     def test_branch_has_no_dest(self):
         assert inst(Opcode.BLT, rs1=1, rs2=2, target=0).dest_reg() is None
 
+    def test_same_sources_share_one_tuple(self):
+        add = inst(Opcode.ADD, rd=3, rs1=1, rs2=2, addr=0x1000)
+        store = inst(Opcode.ST, rs1=1, rs2=2, imm=8, addr=0x1004)
+        assert add.src_regs() is store.src_regs()
+        assert inst(Opcode.RET, rs1=LINK_REG).src_regs() \
+            is inst(Opcode.RET, rs1=LINK_REG).src_regs()
+
     def test_writes_zero_only(self):
         assert writes_zero_only(inst(Opcode.ADD, rd=0, rs1=1, rs2=2))
         assert not writes_zero_only(inst(Opcode.ADD, rd=1, rs1=1, rs2=2))
@@ -98,3 +107,15 @@ class TestAddressing:
         a = Instruction(Opcode.NOP, addr=0x1000)
         b = Instruction(Opcode.NOP, addr=0x2000)
         assert a == b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+class TestImmutability:
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        add = inst(Opcode.ADD, rd=3, rs1=1, rs2=2, addr=0x1000)
+        for name in ("rd", "addr", "is_control", "_srcs", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(add, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(add, name)
+        assert (add.rd, add.addr, add.src_regs()) == (3, 0x1000, (1, 2))

@@ -440,6 +440,34 @@ class TestFaultTolerance:
         assert int(report.stats.get("sweep.worker_crashes")) == 3
         assert int(report.stats.get("sweep.recovered")) == 3
 
+    def test_retry_rounds_run_where_round_zero_ran(self, tmp_path,
+                                                   monkeypatch):
+        """A sweep that started worker processes retries a lone failing
+        job in a worker process too, so a job whose worker dies on every
+        attempt fails alone instead of ending the calling process: two
+        groups in round 0, then one process per retry round."""
+        from repro.experiments import runner as runner_mod
+        started = []
+        start_group = runner_mod._start_group
+
+        def counting(tasks):
+            started.append([job.describe() for job, _ in tasks])
+            return start_group(tasks)
+
+        monkeypatch.setattr(runner_mod, "_start_group", counting)
+        monkeypatch.setenv(faults.FAULTS_ENV,
+                           "worker_exception match=w16/mcf attempts=*")
+        jobs = [SweepJob(config, bench, LENGTH)
+                for bench in ("gzip", "mcf") for config in ("w16", "tc")]
+        report = run_sweep(jobs, workers=2, retries=2, timeout=0,
+                           group_streams=True,
+                           cache=ResultCache(tmp_path, enabled=True))
+        assert len(started) == 4
+        assert started[2:] == [[jobs[2].describe()]] * 2
+        assert list(report.failures) == [jobs[2]]
+        assert report.failures[jobs[2]].attempts == 3
+        assert len(report.results) == 3
+
     def test_corrupt_cache_entry_quarantined_and_reexecuted(
             self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path, enabled=True)

@@ -38,12 +38,13 @@ from repro.emulator.machine import Machine
 from repro.errors import ReproError, SimulationError
 from repro.experiments.runner import SweepJob, run_job
 from repro.isa.instructions import Instruction
+from repro.isa.program import Program
 from repro.sampling import SamplingConfig, clear_prep_caches
 from repro.sampling import engine as sampling_engine
 from repro.sampling import prep
 from repro.sampling.engine import resolve_sampling
 from repro.workloads import suite
-from tests.test_stream_digests import program_digest
+from tests.test_stream_digests import INSTRUCTION_FIELDS, program_digest
 
 #: The accuracy harness scale: 8x the default experiment length, where
 #: sampling has enough measured units for the CLT bound to mean something.
@@ -125,13 +126,19 @@ def _ragged_columns(bundle):
 
 
 class _StatePickler(pickle.Pickler):
-    """Pickles an :class:`Instruction` as a bare object plus its
-    instance dict, the form bundles stored before ``Instruction`` pickled
-    as its constructor arguments."""
+    """Pickles an :class:`Instruction` as a bare object plus its former
+    instance dict (every field by name, in the former key order), the
+    form bundles stored before ``Instruction`` pickled as its
+    constructor arguments, and a :class:`Program` as a bare object plus
+    its instance dict, address map included, as bundles stored it before
+    it pickled as its constructor arguments."""
 
     def reducer_override(self, obj):
         if type(obj) is Instruction:
-            return copyreg.__newobj__, (Instruction,), dict(obj.__dict__)
+            state = {name: getattr(obj, name) for name in INSTRUCTION_FIELDS}
+            return copyreg.__newobj__, (Instruction,), state
+        if type(obj) is Program:
+            return copyreg.__newobj__, (Program,), dict(obj.__dict__)
         return NotImplemented
 
 

@@ -3,10 +3,10 @@
 ``tests/stream_digests.json`` holds two sha256 digests per suite
 benchmark:
 
-* **program** — the generated program: every instruction's instance
-  dict (keys and values in order, enum members written by name, so the
-  digest does not depend on the Python version) plus the data segment,
-  the symbol table and the segment layout;
+* **program** — the generated program: every instruction's fields
+  (names and values in :data:`INSTRUCTION_FIELDS` order, enum members
+  written by name, so the digest does not depend on the Python version)
+  plus the data segment, the symbol table and the segment layout;
 * **stream** — the :func:`~repro.emulator.stream.encode_stream` columns
   of its first ``LENGTH`` dynamic instructions, as emulated on a fresh
   :class:`~repro.emulator.machine.Machine`.
@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 import pickle
+from operator import attrgetter
 from pathlib import Path
 
 from repro.emulator.machine import Machine
@@ -36,6 +37,15 @@ TABLE = Path(__file__).with_name("stream_digests.json")
 
 #: Dynamic instructions emulated per benchmark.
 LENGTH = 20_000
+
+#: Every field of an instruction, in the order the program digests
+#: hash them: the key order of the instance dict an instruction had
+#: before it kept its fields in slots.
+INSTRUCTION_FIELDS = ("opcode", "rd", "rs1", "rs2", "imm", "target",
+                      "addr", "op_class", "is_control", "is_cond_branch",
+                      "is_indirect", "is_call", "is_return", "is_nop",
+                      "is_halt", "is_load", "is_store", "is_mem", "_srcs",
+                      "_dest")
 
 
 def _enum_name(member: enum.Enum) -> str:
@@ -51,14 +61,13 @@ def _sha256(payload) -> str:
 def program_digest(program) -> str:
     """Digest of a program's instructions, data and layout.
 
-    An instruction enters as its instance dict's values, in order; the
-    key order, which every instruction shares, enters once.
+    An instruction enters as the values of its
+    :data:`INSTRUCTION_FIELDS`, in order; the names enter once.
     """
-    instructions = program.instructions
     return _sha256({
-        "fields": sorted({tuple(inst.__dict__) for inst in instructions}),
-        "instructions": [list(inst.__dict__.values())
-                         for inst in instructions],
+        "fields": [INSTRUCTION_FIELDS],
+        "instructions": list(map(attrgetter(*INSTRUCTION_FIELDS),
+                                 program.instructions)),
         "data": sorted(program.data.items()),
         "symbols": sorted(program.symbols.items()),
         "layout": [program.text_base, program.entry, program.data_base,
