@@ -35,6 +35,8 @@ class OutOfOrderCore:
         self.config = config
         self.memory = memory
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         self.eas = eas
         self._reserved = 0
         self._reservations: Dict[int, int] = {}
@@ -283,31 +285,37 @@ class OutOfOrderCore:
             for item in skipped:
                 heappush(ready, item)
             if skipped:
-                self.stats.add("exec.fu_structural_stalls", len(skipped))
-            self.stats.add("exec.issued", issued)
+                self._counts["exec.fu_structural_stalls"] += len(skipped)
+            self._counts["exec.issued"] += issued
         return completed
 
     def _complete(self, now: int) -> List[MicroOp]:
+        """Finish the uops due at *now* and wake their waiting consumers
+        (one inlined pass, state lookups hoisted)."""
         finished = []
-        for uop in self._completions.pop(now, ()):
-            if uop.state is not UopState.EXECUTING:
+        executing = UopState.EXECUTING
+        done = UopState.DONE
+        waiting = UopState.WAITING
+        ready_state = UopState.READY
+        ready = self._ready
+        heappush = heapq.heappush
+        for uop in self._completions.pop(now):
+            if uop.state is not executing:
                 continue  # squashed in flight
-            uop.state = UopState.DONE
+            uop.state = done
             uop.complete_cycle = now
-            if uop.consumers:
-                self._wakeup(uop)
+            consumers = uop.consumers
+            if consumers:
+                uop.consumers = []
+                for consumer in consumers:
+                    if consumer.state is not waiting:
+                        continue
+                    consumer.pending -= 1
+                    if consumer.pending <= 0:
+                        consumer.state = ready_state
+                        heappush(ready, (consumer.seq, consumer))
             finished.append(uop)
         return finished
-
-    def _wakeup(self, producer: MicroOp) -> None:
-        consumers, producer.consumers = producer.consumers, []
-        for consumer in consumers:
-            if consumer.state is not UopState.WAITING:
-                continue
-            consumer.pending -= 1
-            if consumer.pending <= 0:
-                consumer.state = UopState.READY
-                heapq.heappush(self._ready, (consumer.seq, consumer))
 
     # -- introspection ---------------------------------------------------
 

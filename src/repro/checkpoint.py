@@ -78,8 +78,9 @@ DEFAULT_KEEP = 2
 
 #: Bump to invalidate on-disk snapshots when captured state changes shape
 #: (2: caches, trace cache and live-out sets pickle as per-set tuples,
-#: trace-predictor entries as ``(key, counter)`` tuples).
-CHECKPOINT_VERSION = 2
+#: trace-predictor entries as ``(key, counter)`` tuples; 3: trace-predictor
+#: histories as tuples, with the predictors' index and location memos).
+CHECKPOINT_VERSION = 3
 
 #: Process-wide checkpoint observability (thread-safe: library callers
 #: may run checkpointed simulations on several threads at once).  Counts

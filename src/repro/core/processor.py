@@ -91,11 +91,12 @@ class Processor:
                  oracle: ColumnStream,
                  watchdog=_FROM_ENV, invariants=_FROM_ENV,
                  obs: Optional["Observability"] = None,
-                 live: Optional["LiveTelemetry"] = None,
-                 shared: Optional[SharedStream] = None):
+                 live: Optional["LiveTelemetry"] = None):
         self.config = config
         self.program = program
         self.stats = StatsCollector()
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
 
         #: Opt-in observability (see :mod:`repro.obs`); None = disabled.
         self.obs = obs
@@ -111,15 +112,10 @@ class Processor:
                 f"{config.fragment.max_length}")
 
         # The stream's config-independent state (NOP-free oracle, decode
-        # cache, fragment metadata, walk memos): one per co-sim group
-        # (repro.perf.cosim), else this processor's own.  Kept across
-        # restart_at, so sampled windows start with warm memos.
-        if shared is None:
-            shared = SharedStream(oracle)
-        elif shared.stream_length != len(oracle):
-            raise SimulationError(
-                "shared stream does not match this oracle stream")
-        self.shared = shared
+        # cache, fragment metadata, walk memos), kept on the stream and
+        # shared by every run on it: co-sim siblings, sampled windows
+        # and serial runs alike.
+        self.shared = shared = SharedStream.of(oracle)
         #: The NOP-free oracle: uops bind to it by index
         #: (``MicroOp.oracle_idx``) and every phase reads its columns.
         self._oracle = shared.oracle
@@ -266,9 +262,13 @@ class Processor:
         ) if hook is not None)
         profiler = obs.profiler if obs is not None else None
         if profiler is None:
-            step = self.step
+            execute, commit, rename, fetch = self._phases
             while not self._done and self.now < limit:
-                step()
+                self.now += 1
+                execute(self)
+                commit(self)
+                rename(self)
+                fetch(self)
                 for observe in observers:
                     observe(self)
             return
@@ -409,7 +409,7 @@ class Processor:
     def _fetch(self) -> None:
         self.engine.cycle(self.now)
         if not self.engine.can_accept() or self.buffers.free_count() == 0:
-            self.stats.add("frontend.alloc_blocked_cycles")
+            self._counts["frontend.alloc_blocked_cycles"] += 1
             return
         fragment = self.control.try_next_fragment()
         if fragment is None:
@@ -421,7 +421,7 @@ class Processor:
         if self._tracer is not None:
             self._tracer.fragment_predicted(fragment, self.now)
         if fragment.reused:
-            self.stats.add("fetch.reused_insts", fragment.static_frag.length)
+            self._counts["fetch.reused_insts"] += fragment.static_frag.length
         else:
             self.engine.accept(fragment)
 
@@ -527,20 +527,23 @@ class Processor:
 
     def _handle_completions(self, completed: List[MicroOp]) -> None:
         redirect_uop: Optional[MicroOp] = None
-        for uop in self._deferred_redirects:
-            if uop.state is not UopState.SQUASHED \
-                    and uop.redirect_target is not None:
-                if redirect_uop is None or uop.seq < redirect_uop.seq:
-                    redirect_uop = uop
-        self._deferred_redirects = []
+        if self._deferred_redirects:
+            for uop in self._deferred_redirects:
+                if uop.state is not UopState.SQUASHED \
+                        and uop.redirect_target is not None:
+                    if redirect_uop is None or uop.seq < redirect_uop.seq:
+                        redirect_uop = uop
+            self._deferred_redirects = []
 
+        # A wrong-path completion (oracle_idx < 0) has no architectural
+        # effect; the common completion, neither a redirect nor an
+        # indirect, costs three attribute reads.
         for uop in completed:
-            if uop.oracle_idx < 0:
-                continue  # wrong-path completion: no architectural effect
             if uop.redirect_target is not None:
-                if redirect_uop is None or uop.seq < redirect_uop.seq:
+                if uop.oracle_idx >= 0 and (redirect_uop is None
+                                            or uop.seq < redirect_uop.seq):
                     redirect_uop = uop
-            elif uop.inst.is_indirect:
+            elif uop.inst.is_indirect and uop.oracle_idx >= 0:
                 self._maybe_resolve_indirect(uop)
 
         if redirect_uop is not None:
@@ -577,7 +580,7 @@ class Processor:
         # Truncate the source fragment after the mispredicted instruction.
         _squash(fragment.uops[position + 1:])
         fragment.uops = fragment.uops[:position + 1]
-        fragment.truncated_at = position + 1
+        fragment.truncated_at = fragment.length = position + 1
         fragment.read_count = position + 1
         fragment.complete = True
         if fragment.construct_cycle < 0:
@@ -639,7 +642,7 @@ class Processor:
         self.buffers.release(fragment, self.now,
                              retain=fragment.complete
                              and fragment.truncated_at is None)
-        self.stats.add("frontend.fragments_squashed")
+        self._counts["frontend.fragments_squashed"] += 1
         if self._tracer is not None:
             self._tracer.fragment_squashed(fragment, self.now)
 
@@ -875,7 +878,7 @@ class Processor:
             if pos + take < end:
                 break  # hit a not-yet-DONE uop mid-batch
         if committed:
-            self.stats.add("commit.insts", committed)
+            self._counts["commit.insts"] += committed
 
     def _retire_fragment(self, fragment: FragmentInFlight) -> None:
         self.fragments.pop(0)
@@ -884,7 +887,7 @@ class Processor:
             self.renamer.retire_fragment(fragment)
         if fragment.buffer_index is not None:
             self.buffers.release(fragment, self.now, retain=True)
-        self.stats.add("commit.fragments")
+        self._counts["commit.fragments"] += 1
         if self._tracer is not None:
             self._tracer.fragment_retired(fragment, self.now)
 
@@ -908,7 +911,7 @@ class Processor:
             self._oracle.liveouts, key, end - start,
             lambda: list(self.program.insts_at(pcs[start:end])))
         self.liveout_predictor.train(key, info)
-        self.stats.add("commit.trained_fragments")
+        self._counts["commit.trained_fragments"] += 1
         self._carve_start = end
         self._carve_dirs = []
 

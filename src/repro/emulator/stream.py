@@ -97,12 +97,16 @@ class ColumnStream(Sequence):
     :func:`~repro.predictors.liveout.memo_liveouts`): the warm walk and
     every commit carver on the stream share it, and so do its slices and
     its NOP-free derivative, since an entry is a pure function of the
-    program.  The NOP-free derivative itself is built on first use and
-    kept for the stream's lifetime (:meth:`without_nops`).
+    program.  ``run_state`` holds what the cycle loop derives from the
+    stream (a :class:`~repro.perf.soa.SharedStream`: the NOP-free
+    derivative, decode cache, fragment metadata and walk memos), built
+    on first use and kept for the stream's lifetime, so every run on
+    this stream object shares it; a slice is another stream, with its
+    own.
     """
 
     __slots__ = ("program", "pc", "next_pc", "taken", "ea", "has_ea",
-                 "first", "liveouts", "_nop_free")
+                 "first", "liveouts", "run_state")
 
     def __init__(self, program: Program, pc: array, next_pc: array,
                  taken: bytes, ea: array, has_ea: bytes, first: int = 0,
@@ -115,7 +119,8 @@ class ColumnStream(Sequence):
         self.has_ea = has_ea
         self.first = first
         self.liveouts: Dict = {} if liveouts is None else liveouts
-        self._nop_free: Optional[Tuple[ColumnStream, array]] = None
+        #: Set by :meth:`SharedStream.of <repro.perf.soa.SharedStream.of>`.
+        self.run_state = None
 
     def __len__(self) -> int:
         return len(self.pc)
@@ -174,23 +179,20 @@ class ColumnStream(Sequence):
         NOP-free stream is numbered from 0 and shares this stream's
         program and live-out memo.  Each column is one C-level pass
         (``itertools.compress`` over a mask of the non-NOP entries).
-        The pair is built once and kept, so every run on this stream
-        shares it; a slice is another stream, with its own.
+        The stream's ``run_state`` builds the pair once and keeps it.
         """
-        if self._nop_free is None:
-            inst_at = self.program.inst_at
-            not_nop = {pc: not inst_at(pc).is_nop for pc in set(self.pc)}
-            keep = bytes(map(not_nop.__getitem__, self.pc))
-            kept = array("I", compress(range(len(self.pc)), keep))
-            self._nop_free = ColumnStream(
-                self.program,
-                array(self.pc.typecode, compress(self.pc, keep)),
-                array(self.next_pc.typecode, compress(self.next_pc, keep)),
-                bytes(compress(self.taken, keep)),
-                array(self.ea.typecode, compress(self.ea, keep)),
-                bytes(compress(self.has_ea, keep)),
-                0, self.liveouts), kept
-        return self._nop_free
+        inst_at = self.program.inst_at
+        not_nop = {pc: not inst_at(pc).is_nop for pc in set(self.pc)}
+        keep = bytes(map(not_nop.__getitem__, self.pc))
+        kept = array("I", compress(range(len(self.pc)), keep))
+        return ColumnStream(
+            self.program,
+            array(self.pc.typecode, compress(self.pc, keep)),
+            array(self.next_pc.typecode, compress(self.next_pc, keep)),
+            bytes(compress(self.taken, keep)),
+            array(self.ea.typecode, compress(self.ea, keep)),
+            bytes(compress(self.has_ea, keep)),
+            0, self.liveouts), kept
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ColumnStream({len(self.pc)} insts from #{self.first} "

@@ -37,7 +37,7 @@ class FragmentInFlight:
         "mispredict_position", "mispredict_target",
         "committed_count", "oracle_start", "matched",
         "alloc_cycle", "fetch_start_cycle", "fetch_sequencer",
-        "rename_done_cycle", "_static_len", "soa_meta",
+        "rename_done_cycle", "length", "soa_meta",
     )
 
     def __init__(self, seq: int, key: FragmentKey,
@@ -47,9 +47,11 @@ class FragmentInFlight:
         self.seq = seq
         self.key = key
         self.static_frag = static_frag
-        #: ``len(static_frag.instructions)``, snapshotted: length checks
-        #: run several times per instruction on the rename hot path.
-        self._static_len = len(static_frag.instructions)
+        #: Fragment length in non-NOP instructions: the static
+        #: fragment's, until a control misprediction truncates it to
+        #: ``truncated_at``.  A plain field: length checks run several
+        #: times per instruction on the rename and commit hot paths.
+        self.length = len(static_frag.instructions)
         #: Batched per-position metadata (:class:`repro.perf.soa.FragMeta`),
         #: attached by ``Processor._tag`` before the fragment is fetched.
         self.soa_meta = None
@@ -118,20 +120,13 @@ class FragmentInFlight:
         self.committed_count = 0
 
     @property
-    def length(self) -> int:
-        """Fragment length in non-NOP instructions."""
-        truncated = self.truncated_at
-        return self._static_len if truncated is None else truncated
-
-    @property
     def fully_renamed(self) -> bool:
         """Whether every instruction has been renamed."""
         return self.rename_done
 
     def renameable_count(self) -> int:
         """Instructions fetched but not yet renamed."""
-        truncated = self.truncated_at
-        limit = self._static_len if truncated is None else truncated
+        limit = self.length
         fetched = self.fetched_count
         if fetched < limit:
             limit = fetched
@@ -164,16 +159,15 @@ class FragmentInFlight:
 class _Buffer:
     """One storage slot of the fragment buffer array."""
 
-    __slots__ = ("index", "occupant", "retained_key", "retained_frag",
-                 "free_time")
+    __slots__ = ("index", "occupant")
 
     def __init__(self, index: int):
         self.index = index
         self.occupant: Optional[FragmentInFlight] = None
-        #: Contents retained after free, for reuse (Section 3.2).
-        self.retained_key: Optional[FragmentKey] = None
-        self.retained_frag: Optional[StaticFragment] = None
-        self.free_time = -1
+
+
+#: ``_free_times`` entry of an occupied buffer: never the oldest free.
+_BUSY = float("inf")
 
 
 class FragmentBufferArray:
@@ -181,7 +175,16 @@ class FragmentBufferArray:
 
     def __init__(self, num_buffers: int, stats: StatsCollector):
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         self._buffers = [_Buffer(i) for i in range(num_buffers)]
+        #: Per buffer, the key of the fragment whose contents it retains
+        #: after free, for reuse (Section 3.2); None when it retains
+        #: nothing, as every occupied buffer does.
+        self._retained: List[Optional[FragmentKey]] = [None] * num_buffers
+        #: Per buffer, the cycle it was last freed (-1: never used), or
+        #: ``_BUSY`` while occupied.
+        self._free_times: List[float] = [-1] * num_buffers
         #: Count of unoccupied buffers — maintained by allocate/release
         #: (the only occupant writers) so the per-cycle fetch gate is O(1).
         self._free = num_buffers
@@ -204,56 +207,46 @@ class FragmentBufferArray:
             self.stats.add("fragbuf.alloc_stalls")
             return False
 
-        # One pass: first free buffer retaining this key wins; otherwise
-        # the free buffer freed longest ago (earliest free_time, first in
-        # buffer order on ties), preserving recently retired fragments
-        # for reuse.
+        # The first buffer retaining this key wins (only free buffers
+        # retain); otherwise the free buffer freed longest ago (earliest
+        # free time, first in buffer order on ties), preserving recently
+        # retired fragments for reuse.  Both are C-level list scans.
         key = fragment.key
-        reuse = None
-        oldest = None
-        oldest_time = 0
-        for b in self._buffers:
-            if b.occupant is not None:
-                continue
-            if b.retained_key == key:
-                reuse = b
-                break
-            if oldest is None or b.free_time < oldest_time:
-                oldest = b
-                oldest_time = b.free_time
-        if reuse is not None:
-            buffer = reuse
+        retained = self._retained
+        times = self._free_times
+        if key in retained:
+            index = retained.index(key)
             fragment.reused = True
             fragment.fetched_count = fragment.static_frag.length
             fragment.fetch_cursor = len(fragment.static_frag.traversed_pcs)
             fragment.complete = True
             fragment.construct_cycle = now
             fragment.fetch_start_cycle = now
-            self.stats.add("fragbuf.reuses")
+            self._counts["fragbuf.reuses"] += 1
         else:
-            buffer = oldest
-        buffer.occupant = fragment
+            index = times.index(min(times))
+        self._buffers[index].occupant = fragment
         self._free -= 1
-        buffer.retained_key = None
-        buffer.retained_frag = None
-        fragment.buffer_index = buffer.index
+        retained[index] = None
+        times[index] = _BUSY
+        fragment.buffer_index = index
         fragment.alloc_cycle = now
-        self.stats.add("fragbuf.allocations")
+        self._counts["fragbuf.allocations"] += 1
         return True
 
     def release(self, fragment: FragmentInFlight, now: int,
                 retain: bool = True) -> None:
         """Mark the fragment's buffer unused, retaining contents."""
-        if fragment.buffer_index is None:
+        index = fragment.buffer_index
+        if index is None:
             return
-        buffer = self._buffers[fragment.buffer_index]
+        buffer = self._buffers[index]
         if buffer.occupant is fragment:
             buffer.occupant = None
             self._free += 1
-            buffer.free_time = now
+            self._free_times[index] = now
             if retain and fragment.complete:
-                buffer.retained_key = fragment.key
-                buffer.retained_frag = fragment.static_frag
+                self._retained[index] = fragment.key
         fragment.buffer_index = None
 
     def occupants(self) -> List[FragmentInFlight]:

@@ -79,6 +79,8 @@ class FrontEndControl:
         self.predictor = predictor
         self.ras = ras
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         #: ``pc -> bool`` fallback direction source (bimodal predictor).
         self.direction_fallback = direction_fallback
         #: The walk memos, shared by every control on this program and
@@ -118,7 +120,7 @@ class FrontEndControl:
         self.predictor.push_history(static_frag.key)
         self._replay_ras(static_frag, len(static_frag.instructions))
         self._prepare_next_start(static_frag)
-        self.stats.add("frontend.fragments_created")
+        self._counts["frontend.fragments_created"] += 1
         return fragment
 
     def prewarm(self, start: int, directions) -> StaticFragment:

@@ -164,6 +164,8 @@ class TraceCacheFillEngine(FillEngine):
                  trace_cache: TraceCache, stats: StatsCollector,
                  width: int = 16):
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         self.trace_cache = trace_cache
         self._queue: Deque[FragmentInFlight] = deque()
         self._sequencer = Sequencer(0, width, program, memory, stats)
@@ -206,8 +208,8 @@ class TraceCacheFillEngine(FillEngine):
                 fragment.complete = True
                 fragment.construct_cycle = now
                 fragment.fetch_start_cycle = now
-                self.stats.add("fetch.slots", 16)
-                self.stats.add("fetch.insts", length)
+                self._counts["fetch.slots"] += 16
+                self._counts["fetch.insts"] += length
                 return length
             # Miss: build the trace through the sequential path.
             self._filling = fragment
@@ -238,6 +240,8 @@ class ParallelFillEngine(FillEngine):
                  stats: StatsCollector, sequencers: int,
                  sequencer_width: int):
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         self._pending: List[FragmentInFlight] = []
         self._sequencers: List[Sequencer] = [
             Sequencer(i, sequencer_width, program, memory, stats)
@@ -281,7 +285,7 @@ class ParallelFillEngine(FillEngine):
             fetched += sequencer.fetch_fragment(fragment, now, self._gate)
         stalled = len(keep) - len(candidates)
         if stalled:
-            self.stats.add("fetch.miss_stall_cycles", stalled)
+            self._counts["fetch.miss_stall_cycles"] += stalled
         return fetched
 
     def squash(self) -> None:

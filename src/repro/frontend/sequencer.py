@@ -43,6 +43,8 @@ class Sequencer:
         self.program = program
         self.memory = memory
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         line_bytes = memory.config.l1i.line_bytes
         self._line_shift = line_bytes.bit_length() - 1
         #: Chunk-table key: identical (width, line-shift) sequencers can
@@ -59,7 +61,7 @@ class Sequencer:
             fragment.fetch_start_cycle = now
             fragment.fetch_sequencer = self.index
         if now < fragment.fetch_stall_until:
-            self.stats.add("fetch.miss_stall_cycles")
+            self._counts["fetch.miss_stall_cycles"] += 1
             return 0
 
         pcs = fragment.static_frag.traversed_pcs
@@ -100,8 +102,8 @@ class Sequencer:
 
         fragment.fetch_cursor = cursor
         fragment.fetched_count += fetched
-        self.stats.add("fetch.slots", self.width)
-        self.stats.add("fetch.insts", fetched)
+        self._counts["fetch.slots"] += self.width
+        self._counts["fetch.insts"] += fetched
         if cursor >= len(pcs):
             self._finish(fragment, now)
         return fetched

@@ -29,6 +29,8 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = stats if stats is not None else StatsCollector()
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         self._line_shift = config.line_bytes.bit_length() - 1
         self._num_sets = config.num_sets
         self._assoc = config.assoc
@@ -71,9 +73,9 @@ class Cache:
             if update_lru and ways[-1] != line:
                 way = ways.index(line)
                 self._sets[index] = ways[:way] + ways[way + 1:] + (line,)
-            self.stats.add(self._hits_key)
+            self._counts[self._hits_key] += 1
             return True
-        self.stats.add(self._misses_key)
+        self._counts[self._misses_key] += 1
         return False
 
     def probe(self, addr: int) -> bool:
@@ -96,9 +98,9 @@ class Cache:
         if len(ways) >= self._assoc:
             victim = ways[0]
             ways = ways[1:]
-            self.stats.add(self._evictions_key)
+            self._counts[self._evictions_key] += 1
         self._sets[index] = ways + (line,)
-        self.stats.add(self._fills_key)
+        self._counts[self._fills_key] += 1
         return victim
 
     def adopt_state(self, donor: "Cache") -> None:

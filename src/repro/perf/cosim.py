@@ -16,15 +16,17 @@ checkpoint, and drives it in ``run_until``/``restart_at`` segments:
 * sampled — :func:`repro.sampling.engine.run_sampled`'s measured
   windows, unit-lockstep over the whole group.
 
-What is a pure function of the *stream* is computed once per group: one
-:class:`~repro.perf.soa.SharedStream` (the NOP-free oracle's columns and
-raw-position map, decode cache, per-fragment-config metadata and
-fragment-walk memos), one warm-training walk per fragment config that
-trains each distinct warm structure once
-(:func:`repro.sampling.prep.warm_group_snapshots`), one live-out memo
-that walk and every sibling's commit carver share (the stream's
-``liveouts``), and in sampled mode one cache-touch list per functional
-gap.  Everything
+What is a pure function of the *stream* is computed once per stream,
+not per group: the stream's :class:`~repro.perf.soa.SharedStream` (the
+NOP-free oracle's columns and raw-position map, decode cache,
+per-fragment-config metadata and fragment-walk memos), kept on the
+stream and reused by every later run on it, and one live-out memo that
+every warm walk and commit carver share (the stream's ``liveouts``).
+Once per group: one warm-training walk per fragment config that trains
+each distinct warm structure once
+(:func:`repro.sampling.prep.warm_group_snapshots`, whose table keeps
+the most recent stream's structures), and in sampled mode one
+cache-touch list per functional gap.  Everything
 config-dependent — predictors, rename state, window, caches' *contents*,
 stats — stays per processor, so results (counters included) are
 bit-identical to serial per-config runs in every mode; the parity tests
@@ -260,7 +262,8 @@ def run_cosim(specs: Sequence[CosimSpec],
             delta = prep_after.get(key, 0.0) - prep_before.get(key, 0.0)
             if delta:
                 savings[key] = delta
-    shared = SharedStream(oracle)
+    decode_cache = SharedStream.of(oracle).decode_cache
+    decode_misses = decode_cache.misses
 
     def build(processor_config, name: str) -> Processor:
         """One processor of the group, warmed or restored."""
@@ -275,8 +278,7 @@ def run_cosim(specs: Sequence[CosimSpec],
                               watchdog=(None if watchdog is None
                                         else PipelineWatchdog(
                                             watchdog.stall_limit)),
-                              invariants=checker, obs=obs, live=publisher,
-                              shared=shared)
+                              invariants=checker, obs=obs, live=publisher)
         processor.uop_log = uop_log
         if resume is not None:
             resume.restore(processor)
@@ -325,9 +327,10 @@ def run_cosim(specs: Sequence[CosimSpec],
         results = [run_full(config, name)
                    for config, name in zip(configs, names)]
 
-    if shared is not None:
-        # Decode entries are built once and served to the other n-1
-        # processors; misses count the builds (including re-builds).
-        savings["cosim.shared_decode"] = float(
-            shared.decode_cache.misses * (n - 1))
+    # Decode entries are built once and served to the other n-1
+    # processors; this call's misses count its builds (including
+    # re-builds).  The cache outlives the call, so earlier calls' misses
+    # are not this group's.
+    savings["cosim.shared_decode"] = float(
+        (decode_cache.misses - decode_misses) * (n - 1))
     return results, savings

@@ -102,8 +102,15 @@ class SharedStream:
     Everything here is a pure function of the stream (plus, for the
     per-fragment state, the fragment config), so one instance backs
     every ``Processor`` on one stream without perturbing result
-    identity.  The co-simulation engine (:mod:`repro.perf.cosim`) builds
-    one per group; a processor given none builds its own.  It holds:
+    identity.  :meth:`of` builds it on a stream's first run and keeps it
+    on the stream (``ColumnStream.run_state``), so it lives as long as
+    the stream: every later run on that stream object — a co-sim
+    sibling, a sampled window, the next serial ``run_simulation`` —
+    starts with its memos warm, and it dies with the stream when the
+    prep caches drop that (:func:`~repro.sampling.prep.clear_prep_caches`,
+    :func:`~repro.sampling.prep.forget_benchmark`).  It refers to
+    nothing that refers back to it, so it needs no cyclic collection.
+    It holds:
 
     * the NOP-free oracle (``Processor._oracle``), a
       :class:`~repro.emulator.stream.ColumnStream` whose columns the
@@ -117,22 +124,30 @@ class SharedStream:
       :class:`~repro.frontend.control.WalkMemos` *per fragment config* —
       canonical keys are only exact within one carving geometry.  Every
       processor's front-end control walks through the same memos, so
-      a fragment is walked once per group, not once per sibling and
-      sampled window.
+      a fragment is walked once per stream, not once per run, sibling
+      or sampled window.
     """
 
-    __slots__ = ("decode_cache", "oracle", "raw_index", "stream_length",
-                 "_by_fragment")
+    # A weak reference observes the lifetime (tests/test_column_stream.py).
+    __slots__ = ("decode_cache", "oracle", "raw_index", "_by_fragment",
+                 "__weakref__")
 
     def __init__(self, stream: ColumnStream):
         self.decode_cache = DecodeCache()
         #: The NOP-free stream (NOPs are eliminated before they reach
         #: any pipeline statistic) and the raw position of each entry.
         self.oracle, self.raw_index = stream.without_nops()
-        #: Length of the raw stream this was built from.
-        self.stream_length = len(stream)
         self._by_fragment: Dict[
             object, Tuple[Dict[FragmentKey, FragMeta], WalkMemos]] = {}
+
+    @classmethod
+    def of(cls, stream: ColumnStream) -> "SharedStream":
+        """*stream*'s shared state: built on first use, then kept on
+        the stream for its lifetime."""
+        shared = stream.run_state
+        if shared is None:
+            shared = stream.run_state = cls(stream)
+        return shared
 
     def _for_fragment(self, fragment_config: object
                       ) -> Tuple[Dict[FragmentKey, FragMeta], WalkMemos]:

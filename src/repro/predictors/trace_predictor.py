@@ -13,7 +13,10 @@ contribute to the primary index and how many bits each contributes:
 History is speculative: the front-end pushes each predicted/fetched
 fragment key as it goes and restores a snapshot on mispredictions.
 Training happens at retire time against a separate architectural history
-register, so wrong-path pollution never corrupts the tables.
+register, so wrong-path pollution never corrupts the tables.  Each
+history register is an immutable tuple of the newest ``depth + 1`` IDs,
+so a snapshot is the register itself, and the primary index of each
+distinct history is folded once (a memo clones share).
 
 A table entry is an immutable ``(key, counter)`` tuple, replaced whenever
 its key or counter changes, so a clone copies each table with one
@@ -23,8 +26,7 @@ its key or counter changes, so a clone copies each table with one
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import TracePredictorConfig
 from repro.frontend.fragments import FragmentKey
@@ -32,6 +34,10 @@ from repro.stats import StatsCollector
 
 #: Saturating-counter ceiling (2-bit hysteresis).
 _COUNTER_MAX = 3
+
+#: Entries the ID and index memos keep before they are wiped (a safety
+#: bound: gcc at 120 000 instructions folds about 10 000 histories).
+_MEMO_CAP = 131072
 
 HistorySnapshot = Tuple[int, ...]
 
@@ -47,6 +53,8 @@ class TracePredictor:
                  stats: Optional[StatsCollector] = None):
         self.config = config
         self.stats = stats if stats is not None else StatsCollector()
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         self._primary: Dict[int, TableEntry] = {}
         self._secondary: Dict[int, TableEntry] = {}
         self._primary_mask = config.primary_entries - 1
@@ -63,14 +71,29 @@ class TracePredictor:
         #: whole run and the mixing arithmetic is pure, so clones share
         #: their donor's memo.
         self._id_cache: Dict[FragmentKey, int] = {}
+        #: ``history -> primary index`` memo, pure in the history for
+        #: one geometry, so clones share it too: prediction and training
+        #: see the same histories, and the same ones recur all run.
+        self._index_cache: Dict[HistorySnapshot, int] = {}
+        #: History register length: the newest ``depth + 1`` IDs.
+        self._history_len = config.depth + 1
         #: Speculative history used for prediction (front-end state).
-        self._history: Deque[int] = deque(maxlen=config.depth + 1)
+        self._history: HistorySnapshot = ()
         #: Architectural history used for training (retire state).
-        self._retire_history: Deque[int] = deque(maxlen=config.depth + 1)
+        self._retire_history: HistorySnapshot = ()
 
     # -- index hashing -----------------------------------------------------
 
     def _index(self, history: HistorySnapshot) -> int:
+        """The primary-table index of *history* (memoised :meth:`_fold`)."""
+        index = self._index_cache.get(history)
+        if index is None:
+            if len(self._index_cache) >= _MEMO_CAP:
+                self._index_cache.clear()
+            index = self._index_cache[history] = self._fold(history)
+        return index
+
+    def _fold(self, history: HistorySnapshot) -> int:
         """Fold a history of fragment IDs into a primary-table index."""
         value = 0
         if history:
@@ -92,37 +115,44 @@ class TracePredictor:
 
     def snapshot_history(self) -> HistorySnapshot:
         """Capture speculative history for later recovery."""
-        return tuple(self._history)
+        return self._history
 
     def restore_history(self, snapshot: HistorySnapshot) -> None:
         """Roll speculative history back after a squash."""
-        self._history = deque(snapshot, maxlen=self.config.depth + 1)
+        self._history = tuple(snapshot)[-self._history_len:]
 
     def _hash_id(self, key: FragmentKey) -> int:
         """Memoised ``key.hash_id()`` (pure, and keys recur all run)."""
         cached = self._id_cache.get(key)
         if cached is None:
-            if len(self._id_cache) >= 131072:
+            if len(self._id_cache) >= _MEMO_CAP:
                 self._id_cache.clear()
             cached = self._id_cache[key] = key.hash_id()
         return cached
 
+    def _advance(self, history: HistorySnapshot,
+                 key: FragmentKey) -> HistorySnapshot:
+        """*history* with *key*'s ID appended, oldest dropped when full."""
+        if len(history) >= self._history_len:
+            history = history[1:]
+        return history + (self._hash_id(key),)
+
     def push_history(self, key: FragmentKey) -> None:
         """Record a fetched fragment in speculative history."""
-        self._history.append(self._hash_id(key))
+        self._history = self._advance(self._history, key)
 
     def predict(self) -> Optional[FragmentKey]:
         """Predict the next fragment key, or None on a cold miss."""
-        history = tuple(self._history)
+        history = self._history
         entry = self._primary.get(self._index(history))
         if entry is not None:
-            self.stats.add("tracepred.predictions_primary")
+            self._counts["tracepred.predictions_primary"] += 1
             return entry[0]
         entry = self._secondary.get(self._secondary_index(history))
         if entry is not None:
-            self.stats.add("tracepred.predictions_secondary")
+            self._counts["tracepred.predictions_secondary"] += 1
             return entry[0]
-        self.stats.add("tracepred.cold_misses")
+        self._counts["tracepred.cold_misses"] += 1
         return None
 
     # -- training (retire path) ------------------------------------------
@@ -131,11 +161,11 @@ class TracePredictor:
         """Tell the predictor the architecturally-next fragment was
         *actual*; updates tables against retire history, then advances it.
         """
-        history = tuple(self._retire_history)
+        history = self._retire_history
         self._train_table(self._primary, self._index(history), actual)
         self._train_table(self._secondary, self._secondary_index(history),
                           actual)
-        self._retire_history.append(self._hash_id(actual))
+        self._retire_history = self._advance(history, actual)
 
     def _train_table(self, table: Dict[int, TableEntry], index: int,
                      actual: FragmentKey) -> None:
@@ -157,18 +187,19 @@ class TracePredictor:
         """Clone *donor*'s trained tables and histories into this
         predictor.
 
-        Entries are immutable tuples, so each table is one ``dict``
-        copy that shares them, and the ID memo, a pure function of the
-        key, is shared outright.  Requires identical geometry.
+        Entries and histories are immutable tuples, so each table is
+        one ``dict`` copy that shares them, and the ID and index memos,
+        pure functions of the key and the history, are shared outright.
+        Requires identical geometry.
         """
         if donor.config != self.config:
             raise ValueError("trace-predictor config mismatch in adopt_state")
         self._primary = dict(donor._primary)
         self._secondary = dict(donor._secondary)
         self._id_cache = donor._id_cache
-        self._history = deque(donor._history, maxlen=self.config.depth + 1)
-        self._retire_history = deque(donor._retire_history,
-                                     maxlen=self.config.depth + 1)
+        self._index_cache = donor._index_cache
+        self._history = donor._history
+        self._retire_history = donor._retire_history
 
     def state_view(self) -> Tuple[Dict[int, TableEntry],
                                   Dict[int, TableEntry]]:

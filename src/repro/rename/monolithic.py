@@ -25,6 +25,8 @@ class MonolithicRenamer:
         self.width = width
         self.window = window
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         #: Backend dispatch-pipeline latency, so a rename batch can
         #: stamp ``dispatch_ready_cycle`` at build time and hand the
         #: whole batch to the core in one extend.
@@ -146,15 +148,15 @@ class MonolithicRenamer:
                 continue
             # In-order rename cannot skip past unfetched instructions.
             break
-        self.stats.add("rename.insts", len(renamed))
+        self._counts["rename.insts"] += len(renamed)
         return renamed, wrong
 
     def _note_construction(self, fragment: FragmentInFlight) -> None:
         """Section 3.3 statistic: was the fragment fully constructed by the
         time rename first touched it?"""
-        self.stats.add("rename.fragments_started")
+        self._counts["rename.fragments_started"] += 1
         if fragment.complete:
-            self.stats.add("rename.fragments_preconstructed")
+            self._counts["rename.fragments_preconstructed"] += 1
 
     def rebuild(self, fragments: List[FragmentInFlight]) -> None:
         """Rebuild the map from surviving uops after a squash."""

@@ -54,6 +54,8 @@ class ParallelRenamer:
         self.window = window
         self.liveout_predictor = liveout_predictor
         self.stats = stats
+        #: ``stats.counts``, incremented in place on the hot path.
+        self._counts = self.stats.counts
         #: Backend dispatch-pipeline latency, so a rename batch can
         #: stamp ``dispatch_ready_cycle`` at build time and hand the
         #: whole batch to the core in one extend.
@@ -118,7 +120,7 @@ class ParallelRenamer:
         for fragment in list(slots):
             if fragment is not None:
                 wrong += self._rename_fragment(now, fragment, renamed)
-        self.stats.add("rename.insts", len(renamed))
+        self._counts["rename.insts"] += len(renamed)
         return renamed, wrong
 
     # -- phase 1 -----------------------------------------------------------
@@ -148,7 +150,7 @@ class ParallelRenamer:
         target.incoming_map = dict(incoming)
         if self.use_liveout_prediction:
             prediction = self.liveout_predictor.predict(target.key)
-            self.stats.add("rename.liveout_lookups")
+            self._counts["rename.liveout_lookups"] += 1
         else:
             prediction = None
             self.stats.add("rename.delay_fragments")
@@ -204,9 +206,9 @@ class ParallelRenamer:
         budget = min(self.renamer_width, fragment.renameable_count())
         if budget > 0 and fragment.rename_started_cycle < 0:
             fragment.rename_started_cycle = now
-            self.stats.add("rename.fragments_started")
+            self._counts["rename.fragments_started"] += 1
             if fragment.complete:
-                self.stats.add("rename.fragments_preconstructed")
+                self._counts["rename.fragments_preconstructed"] += 1
         if budget > 0:
             stats = self.stats
             meta = fragment.soa_meta

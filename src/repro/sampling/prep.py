@@ -516,8 +516,9 @@ def warm_group_snapshots(configs, oracle, key: StreamKey,
 
 def forget_benchmark(name: str) -> None:
     """Drop suite benchmark *name*'s in-process stream state: its
-    program, streams and slices (:func:`repro.workloads.suite.forget`)
-    and the warm table's structures when they were trained on it.  A
+    program, streams and slices (:func:`repro.workloads.suite.forget`),
+    with the state runs keep on each stream, and the warm table's
+    structures when they were trained on it.  A
     later request rebuilds them, from the on-disk bundle when there is
     one."""
     suite.forget(name)
@@ -527,8 +528,11 @@ def forget_benchmark(name: str) -> None:
 
 
 def clear_prep_caches() -> None:
-    """Drop all prep caches (ad-hoc streams, trained warm structures).
-    The suite's own caches are cleared via ``suite.clear_caches()``."""
+    """Drop all prep caches: every in-process oracle stream (ad-hoc and
+    suite; the state runs keep on a stream dies with it) and the
+    trained warm structures.  The suite's generated programs stay; they
+    are dropped with ``suite.clear_caches()``."""
     _adhoc_streams.clear()
     _adhoc_slices.clear()
+    suite.clear_streams()
     _warm_table.clear()

@@ -30,7 +30,12 @@ class StatsCollector:
     """
 
     def __init__(self) -> None:
-        self._counters: Dict[str, float] = defaultdict(float)
+        #: The counters themselves, created at 0.0 on first use.  The
+        #: simulator's per-event hot paths hoist this dict and increment
+        #: it in place (``counts[name] += n``: what :meth:`add` does,
+        #: without the call); the dict is never replaced, only cleared
+        #: and refilled.
+        self.counts: Dict[str, float] = defaultdict(float)
         #: Names written through :meth:`set` — point-in-time gauges
         #: (worker counts, wall-clock seconds, utilization).  Merging a
         #: gauge overwrites (last writer wins) instead of summing.
@@ -41,7 +46,7 @@ class StatsCollector:
 
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment counter *name* by *amount*."""
-        self._counters[name] += amount
+        self.counts[name] += amount
 
     def set(self, name: str, value: float) -> None:
         """Set gauge *name* to an absolute value.
@@ -51,7 +56,7 @@ class StatsCollector:
         like ``sweep.workers`` or ``sweep.utilization`` stay meaningful
         when sweeps accumulate into a process-wide collector.
         """
-        self._counters[name] = value
+        self.counts[name] = value
         self._gauges.add(name)
 
     def maximum(self, name: str, value: float) -> None:
@@ -61,18 +66,18 @@ class StatsCollector:
         takes the larger of both sides instead of summing.
         """
         self._highwater.add(name)
-        if value > self._counters.get(name, float("-inf")):
-            self._counters[name] = value
+        if value > self.counts.get(name, float("-inf")):
+            self.counts[name] = value
 
     def get(self, name: str) -> float:
         """Current value of *name* (0 if never touched)."""
-        return self._counters.get(name, 0.0)
+        return self.counts.get(name, 0.0)
 
     def __getitem__(self, name: str) -> float:
         return self.get(name)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._counters
+        return name in self.counts
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator``, or 0.0 if the denominator is 0."""
@@ -81,16 +86,16 @@ class StatsCollector:
 
     def items(self) -> Iterator[Tuple[str, float]]:
         """(name, value) pairs in sorted name order."""
-        return iter(sorted(self._counters.items()))
+        return iter(sorted(self.counts.items()))
 
     def with_prefix(self, prefix: str) -> Dict[str, float]:
         """All counters whose name starts with ``prefix.``."""
         dot = prefix if prefix.endswith(".") else prefix + "."
-        return {k: v for k, v in self._counters.items() if k.startswith(dot)}
+        return {k: v for k, v in self.counts.items() if k.startswith(dot)}
 
     def as_dict(self) -> Dict[str, float]:
         """A plain-dict copy of every counter."""
-        return dict(self._counters)
+        return dict(self.counts)
 
     def merge(self, other: "StatsCollector") -> None:
         """Fold every counter from *other* into this collector.
@@ -103,16 +108,16 @@ class StatsCollector:
         "24 workers after three sweeps", which is never the question
         being asked.
         """
-        for name, value in other._counters.items():
+        for name, value in other.counts.items():
             if name in other._gauges:
-                self._counters[name] = value
+                self.counts[name] = value
                 self._gauges.add(name)
             elif name in other._highwater:
                 self._highwater.add(name)
-                if value > self._counters.get(name, float("-inf")):
-                    self._counters[name] = value
+                if value > self.counts.get(name, float("-inf")):
+                    self.counts[name] = value
             else:
-                self._counters[name] += value
+                self.counts[name] += value
 
     def reset(self) -> None:
         """Forget every counter (no phantom zero-valued entries remain).
@@ -121,7 +126,7 @@ class StatsCollector:
         so ``__contains__``, :meth:`as_dict` and :meth:`with_prefix` see a
         collector indistinguishable from a fresh one.
         """
-        self._counters.clear()
+        self.counts.clear()
         self._gauges.clear()
         self._highwater.clear()
 
@@ -136,7 +141,7 @@ class StatsCollector:
         collector whose future :meth:`merge` behaviour is identical —
         the contract checkpoint/restore depends on.
         """
-        return (dict(self._counters), frozenset(self._gauges),
+        return (dict(self.counts), frozenset(self._gauges),
                 frozenset(self._highwater))
 
     def restore_state(
@@ -144,13 +149,13 @@ class StatsCollector:
     ) -> None:
         """Replace all state with a snapshot taken by :meth:`state`."""
         counters, gauges, highwater = state
-        self._counters.clear()
-        self._counters.update(counters)
+        self.counts.clear()
+        self.counts.update(counters)
         self._gauges = set(gauges)
         self._highwater = set(highwater)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StatsCollector({len(self._counters)} counters)"
+        return f"StatsCollector({len(self.counts)} counters)"
 
 
 class ThreadSafeStatsCollector(StatsCollector):
@@ -207,12 +212,12 @@ class ThreadSafeStatsCollector(StatsCollector):
     def items(self) -> Iterator[Tuple[str, float]]:
         """(name, value) pairs from one consistent snapshot."""
         with self._lock:
-            return iter(sorted(self._counters.items()))
+            return iter(sorted(self.counts.items()))
 
     def as_dict(self) -> Dict[str, float]:
         """A consistent plain-dict copy of every counter."""
         with self._lock:
-            return dict(self._counters)
+            return dict(self.counts)
 
     def with_prefix(self, prefix: str) -> Dict[str, float]:
         """All counters under ``prefix.`` from one consistent snapshot."""

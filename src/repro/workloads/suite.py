@@ -239,6 +239,11 @@ def peek_stream(name: str) -> Optional[Tuple[int, ExecutionResult]]:
 def clear_caches() -> None:
     """Drop all cached programs and streams (mostly for tests)."""
     _program_cache.clear()
+    clear_streams()
+
+
+def clear_streams() -> None:
+    """Drop all cached streams and slices, keeping the programs."""
     _stream_cache.clear()
     _slice_cache.clear()
 

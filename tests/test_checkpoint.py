@@ -221,7 +221,7 @@ class TestManager:
         warm_processor(processor, processor._oracle)
         stale = self._snap_at(processor, 2000, manager.fingerprint)
         stale.version = 1
-        assert checkpoint.CHECKPOINT_VERSION == 2
+        assert checkpoint.CHECKPOINT_VERSION == 3
         manager.store(stale)
 
         corrupt = CHECKPOINT_STATS.get("checkpoint.corrupt")

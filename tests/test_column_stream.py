@@ -12,7 +12,9 @@
 * **The record view** — ``len``, indexing, slicing and iteration give
   the records the reference emulator builds, field for field.
 * **Shared state** — a co-sim group computes each carve's live-outs
-  once, serial runs on one stream build its NOP-free view once, and a
+  once; serial runs on one stream share one ``SharedStream`` (the
+  NOP-free view, decode cache, fragment metadata and walk memos), which
+  dies with the stream, and count their shared decode per call; and a
   serial sweep frees each benchmark's stream state after its last
   group, but for the final benchmark's, which its caller's next sweep
   reuses.
@@ -21,6 +23,7 @@
 import pickle
 import shutil
 import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -35,6 +38,8 @@ from repro.emulator.stream import (
     decode_stream,
 )
 from repro.experiments.runner import ResultCache, SweepJob, run_sweep
+from repro.frontend import control
+from repro.perf import soa
 from repro.perf.cosim import run_cosim
 from repro.perf.soa import SharedStream
 from repro.predictors import liveout
@@ -228,8 +233,9 @@ def test_cosim_group_computes_each_carve_liveouts_once(monkeypatch):
 
 
 def test_serial_runs_build_the_nop_free_view_once(monkeypatch):
-    """Serial runs on one cached stream share the NOP-free view the
-    first one builds, and give the results of runs on fresh streams."""
+    """Serial runs on one cached stream share one SharedStream, and with
+    it the NOP-free view it builds, and give the results of runs on
+    fresh streams."""
     configs = ("w16", "tc", "pr-2x8w")
     fresh = []
     for name in configs:
@@ -237,18 +243,72 @@ def test_serial_runs_build_the_nop_free_view_once(monkeypatch):
         fresh.append(_outcome(run_simulation(name, "gzip",
                                              max_instructions=LENGTH)))
     _clear()
-    views = []
+    built = []
     init = SharedStream.__init__
 
     def record(self, stream):
         init(self, stream)
-        views.append(self.oracle)
+        built.append(self)
     monkeypatch.setattr(SharedStream, "__init__", record)
     shared = [_outcome(run_simulation(name, "gzip", max_instructions=LENGTH))
               for name in configs]
+    oracle = prep.get_oracle("gzip", LENGTH)[1].stream
     _clear()
-    assert len(views) == 3 and views[0] is views[1] is views[2]
+    assert len(built) == 1 and oracle.run_state is built[0]
     assert shared == fresh
+
+
+def test_serial_runs_reuse_the_stream_state(monkeypatch):
+    """Only the first of three serial runs on one stream builds fragment
+    metadata and walks fragments in bulk; the state dies with the
+    stream when the prep caches are cleared."""
+    configs = ("w16", "tc", "pr-2x8w")
+    length = 20000
+    fresh = []
+    for name in configs:
+        _clear()
+        fresh.append(_outcome(run_simulation(name, "gcc",
+                                             max_instructions=length)))
+    _clear()
+    counts = {"meta": 0, "walk": 0}
+    meta_init = soa.FragMeta.__init__
+    walk = control.walk_fragment
+
+    def count_meta(self, static, cache):
+        counts["meta"] += 1
+        meta_init(self, static, cache)
+
+    def count_walk(*args, **kwargs):
+        counts["walk"] += 1
+        return walk(*args, **kwargs)
+    monkeypatch.setattr(soa.FragMeta, "__init__", count_meta)
+    monkeypatch.setattr(control, "walk_fragment", count_walk)
+    per_run = []
+    shared = []
+    for name in configs:
+        before = dict(counts)
+        shared.append(_outcome(run_simulation(name, "gcc",
+                                              max_instructions=length)))
+        per_run.append((counts["meta"] - before["meta"],
+                        counts["walk"] - before["walk"]))
+    state = weakref.ref(prep.get_oracle("gcc", length)[1].stream.run_state)
+    assert per_run == [(585, 598), (1, 5), (0, 6)]
+    assert shared == fresh
+    prep.clear_prep_caches()
+    assert state() is None
+
+
+def test_shared_decode_counts_each_call_once():
+    """A second group on a stream whose decode cache is warm builds no
+    entry, so it reports no shared decode."""
+    _clear()
+    specs = [("w16", None), ("pr-2x8w", None)]
+    _, first = run_cosim(specs, "gzip", max_instructions=LENGTH)
+    _, second = run_cosim(specs, "gzip", max_instructions=LENGTH)
+    cache = prep.get_oracle("gzip", LENGTH)[1].stream.run_state.decode_cache
+    _clear()
+    assert first["cosim.shared_decode"] == cache.misses > 0
+    assert second["cosim.shared_decode"] == 0
 
 
 def test_serial_sweep_holds_one_stream_at_a_time(cache_dir):

@@ -15,7 +15,6 @@ with or without grouping.
 import pytest
 
 from repro.core.simulation import run_simulation
-from repro.errors import SimulationError
 from repro.frontend.fragments import FragmentKey
 from repro.isa.program import DATA_BASE, TEXT_BASE
 from repro.perf.cosim import run_cosim
@@ -260,15 +259,19 @@ class TestSweepIntegration:
 
 
 class TestSharedStreamGuard:
-    def test_oracle_mismatch_raises(self):
+    def test_processor_state_matches_its_oracle(self):
+        """A processor takes its shared state from its own oracle, so a
+        slice of a stream gets the slice's state, never the whole
+        stream's."""
         from repro.config import frontend_config
         from repro.core.processor import Processor
-        from repro.perf.soa import SharedStream
         from repro.sampling import prep
 
         program, execution, _ = prep.get_oracle("gzip", LENGTH)
-        shared = SharedStream(execution.stream)
+        whole = Processor(frontend_config("w16"), program, execution.stream)
         short = execution.stream[:LENGTH // 2]
-        with pytest.raises(SimulationError):
-            Processor(frontend_config("w16"), program, short,
-                      shared=shared)
+        part = Processor(frontend_config("w16"), program, short)
+        assert whole.shared is execution.stream.run_state
+        assert part.shared is short.run_state
+        assert part.shared is not whole.shared
+        assert part.stream_length < whole.stream_length

@@ -59,10 +59,10 @@ class TestTracePredictor:
         stable, blip = key(0x1000), key(0x9000)
         for _ in range(4):
             pred.train(stable)
-            pred._retire_history.clear()  # same history context each time
-        pred._retire_history.clear()
+            pred._retire_history = ()  # same history context each time
+        pred._retire_history = ()
         pred.train(blip)
-        pred._retire_history.clear()
+        pred._retire_history = ()
         # After one contrary outcome the entry still predicts `stable`.
         assert pred.predict() == stable
 

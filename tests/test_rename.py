@@ -288,17 +288,21 @@ class TestSelectiveReexecution:
             return source
 
         stale = []
-        wakeup = OutOfOrderCore._wakeup
+        complete = OutOfOrderCore._complete
 
-        def probe(core, producer):
-            stale.extend(
-                consumer.seq for consumer in producer.consumers
-                if consumer.state is UopState.WAITING
-                and not any(resolve(s) is producer
-                            for s in consumer.sources))
-            wakeup(core, producer)
+        def probe(core, now):
+            # Every producer finishing now wakes its listed consumers.
+            for producer in core._completions.get(now, ()):
+                if producer.state is not UopState.EXECUTING:
+                    continue
+                stale.extend(
+                    consumer.seq for consumer in producer.consumers
+                    if consumer.state is UopState.WAITING
+                    and not any(resolve(s) is producer
+                                for s in consumer.sources))
+            return complete(core, now)
 
-        monkeypatch.setattr(OutOfOrderCore, "_wakeup", probe)
+        monkeypatch.setattr(OutOfOrderCore, "_complete", probe)
         result = self._run("pr-4x4w", "gcc", "reexecute", n=3000)
         assert result.counter("rename.reexecuted_uops") > 0
         assert stale == []

@@ -7,8 +7,11 @@ donor it was adopted from (docs/DATA_LAYOUT.md § 11).  Three concerns:
 
 * **Reference models** — each structure matches its former
   implementation, kept here (an ``OrderedDict`` per set, a mutable
-  ``_Entry`` per predictor entry), in results, counters and LRU order
-  over random access sequences.  The cache's own reference test is
+  ``_Entry`` per predictor entry, the trace predictor's unmemoised
+  index fold), in results, counters and LRU order over random access
+  sequences, and the memoised index matches the fold for every history
+  length, after ``restore_history`` and across clones sharing the memo.
+  The cache's own reference test is
   ``tests/test_memory.py::test_lru_matches_reference_model``.
 * **Isolation** — running a sibling leaves its donor's state unchanged.
 * **Bytes per sibling** — a sibling's warm state, construction plus
@@ -126,9 +129,28 @@ class _Entry:
         self.counter = 1
 
 
+def reference_fold(config, history):
+    """The trace predictor's primary index of *history*, folded afresh
+    on every call as the predictor did before it memoised the fold."""
+    value = 0
+    if history:
+        value ^= history[-1] & ((1 << config.current_bits) - 1)
+    if len(history) >= 2:
+        value ^= (history[-2] & ((1 << config.last_bits) - 1)) << 2
+    shift_mod = max(1, config.current_bits + 4)
+    for i, older_id in enumerate(history[:-2][-config.depth:]):
+        value ^= ((older_id & ((1 << config.older_bits) - 1))
+                  << ((i * config.older_bits + 4) % shift_mod))
+    return value & (config.primary_entries - 1)
+
+
 class ReferenceTracePredictor(TracePredictor):
     """The trace predictor with one mutable ``_Entry`` per table entry
-    (index hashing and histories are the real predictor's)."""
+    and the unmemoised index fold (histories are the real
+    predictor's)."""
+
+    def _index(self, history):
+        return reference_fold(self.config, history)
 
     def predict(self):
         history = tuple(self._history)
@@ -236,6 +258,49 @@ def test_trace_predictor_matches_reference_model(ops):
     assert predictor.stats.as_dict() == reference.stats.as_dict()
 
 
+#: The Table 1 geometry (DOLC 9-4-7-9) and a small one whose older IDs
+#: wrap their shifts.
+PREDICTOR_CONFIGS = (TracePredictorConfig(),
+                     TracePredictorConfig(primary_entries=16,
+                                          secondary_entries=4, depth=2,
+                                          older_bits=2, last_bits=2,
+                                          current_bits=3))
+fragment_ids = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(st.sampled_from(PREDICTOR_CONFIGS),
+       st.lists(st.lists(fragment_ids, max_size=11), min_size=1,
+                max_size=20))
+@settings(max_examples=80, deadline=None)
+def test_trace_predictor_index_matches_reference_fold(config, histories):
+    """Every history of 0 to ``depth + 1`` IDs, restored into a donor or
+    into a clone sharing its memo, indexes as the unmemoised fold
+    does, however often it recurs."""
+    donor = TracePredictor(config)
+    clone = TracePredictor(config)
+    clone.adopt_state(donor)
+    assert clone._index_cache is donor._index_cache
+    for ids in histories:
+        for predictor in (donor, clone, donor):
+            predictor.restore_history(tuple(ids))
+            history = predictor.snapshot_history()
+            assert history == tuple(ids)[-(config.depth + 1):]
+            assert predictor._index(history) == reference_fold(config,
+                                                               history)
+    assert len(donor._index_cache) <= len(histories)
+
+
+def test_trace_predictor_index_memo_is_bounded(monkeypatch):
+    """The index memo is wiped at its cap, and indexes stay exact."""
+    monkeypatch.setattr(trace_predictor_module, "_MEMO_CAP", 4)
+    config = PREDICTOR_CONFIGS[0]
+    predictor = TracePredictor(config)
+    for n in range(40):
+        history = tuple(range(n, n + n % (config.depth + 2)))
+        assert predictor._index(history) == reference_fold(config, history)
+        assert len(predictor._index_cache) <= 4
+
+
 def views(holder):
     """The public view of every shared warm structure of *holder*, a
     warm snapshot or a processor."""
@@ -288,7 +353,7 @@ def test_sibling_warm_state_fits_in_512_kb():
     oracle = execution.stream
     configs = [frontend_config(name) for name in PAPER_CONFIGS]
     snapshots = prep.warm_group_snapshots(configs, oracle, key)
-    shared = SharedStream(oracle)
+    SharedStream.of(oracle)  # the stream's state, built untraced
     filters = [tracemalloc.Filter(True, module.__file__)
                for module in WARM_MODULES]
     sizes = {}
@@ -296,7 +361,7 @@ def test_sibling_warm_state_fits_in_512_kb():
         tracemalloc.start()
         try:
             sibling = Processor(config, program, oracle, watchdog=None,
-                                invariants=None, shared=shared)
+                                invariants=None)
             sibling.adopt_warm_state(
                 snapshots[prep.snapshot_key(key, config)])
             traces = tracemalloc.take_snapshot().filter_traces(filters)
