@@ -35,7 +35,6 @@ class OutOfOrderCore:
         self.config = config
         self.memory = memory
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         self.eas = eas
         self._reserved = 0

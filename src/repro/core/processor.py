@@ -95,7 +95,6 @@ class Processor:
         self.config = config
         self.program = program
         self.stats = StatsCollector()
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
 
         #: Opt-in observability (see :mod:`repro.obs`); None = disabled.
@@ -527,23 +526,20 @@ class Processor:
 
     def _handle_completions(self, completed: List[MicroOp]) -> None:
         redirect_uop: Optional[MicroOp] = None
-        if self._deferred_redirects:
-            for uop in self._deferred_redirects:
-                if uop.state is not UopState.SQUASHED \
-                        and uop.redirect_target is not None:
-                    if redirect_uop is None or uop.seq < redirect_uop.seq:
-                        redirect_uop = uop
-            self._deferred_redirects = []
-
-        # A wrong-path completion (oracle_idx < 0) has no architectural
-        # effect; the common completion, neither a redirect nor an
-        # indirect, costs three attribute reads.
-        for uop in completed:
-            if uop.redirect_target is not None:
-                if uop.oracle_idx >= 0 and (redirect_uop is None
-                                            or uop.seq < redirect_uop.seq):
+        for uop in self._deferred_redirects:
+            if uop.state is not UopState.SQUASHED \
+                    and uop.redirect_target is not None:
+                if redirect_uop is None or uop.seq < redirect_uop.seq:
                     redirect_uop = uop
-            elif uop.inst.is_indirect and uop.oracle_idx >= 0:
+        self._deferred_redirects = []
+
+        for uop in completed:
+            if uop.oracle_idx < 0:
+                continue  # wrong-path completion: no architectural effect
+            if uop.redirect_target is not None:
+                if redirect_uop is None or uop.seq < redirect_uop.seq:
+                    redirect_uop = uop
+            elif uop.inst.is_indirect:
                 self._maybe_resolve_indirect(uop)
 
         if redirect_uop is not None:

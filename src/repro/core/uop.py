@@ -91,7 +91,8 @@ class DecodedUop:
 class DecodeCache:
     """Bounded ``(pc, instruction) -> DecodedUop`` cache.
 
-    One cache serves one processor instance.  Entries are stored under
+    One cache serves every run on one stream (it lives in the stream's
+    :class:`~repro.perf.soa.SharedStream`).  Entries are stored under
     the PC with the instruction object kept alongside and verified by
     identity on every hit: hashing the PC (an int) is far cheaper than
     hashing the instruction's six compared fields, and the identity

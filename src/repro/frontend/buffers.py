@@ -159,15 +159,14 @@ class FragmentInFlight:
 class _Buffer:
     """One storage slot of the fragment buffer array."""
 
-    __slots__ = ("index", "occupant")
+    __slots__ = ("index", "occupant", "retained_key", "free_time")
 
     def __init__(self, index: int):
         self.index = index
         self.occupant: Optional[FragmentInFlight] = None
-
-
-#: ``_free_times`` entry of an occupied buffer: never the oldest free.
-_BUSY = float("inf")
+        #: Key of the contents retained after free, for reuse (Section 3.2).
+        self.retained_key: Optional[FragmentKey] = None
+        self.free_time = -1
 
 
 class FragmentBufferArray:
@@ -175,16 +174,8 @@ class FragmentBufferArray:
 
     def __init__(self, num_buffers: int, stats: StatsCollector):
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         self._buffers = [_Buffer(i) for i in range(num_buffers)]
-        #: Per buffer, the key of the fragment whose contents it retains
-        #: after free, for reuse (Section 3.2); None when it retains
-        #: nothing, as every occupied buffer does.
-        self._retained: List[Optional[FragmentKey]] = [None] * num_buffers
-        #: Per buffer, the cycle it was last freed (-1: never used), or
-        #: ``_BUSY`` while occupied.
-        self._free_times: List[float] = [-1] * num_buffers
         #: Count of unoccupied buffers — maintained by allocate/release
         #: (the only occupant writers) so the per-cycle fetch gate is O(1).
         self._free = num_buffers
@@ -207,15 +198,25 @@ class FragmentBufferArray:
             self.stats.add("fragbuf.alloc_stalls")
             return False
 
-        # The first buffer retaining this key wins (only free buffers
-        # retain); otherwise the free buffer freed longest ago (earliest
-        # free time, first in buffer order on ties), preserving recently
-        # retired fragments for reuse.  Both are C-level list scans.
+        # One pass: first free buffer retaining this key wins; otherwise
+        # the free buffer freed longest ago (earliest free_time, first in
+        # buffer order on ties), preserving recently retired fragments
+        # for reuse.
         key = fragment.key
-        retained = self._retained
-        times = self._free_times
-        if key in retained:
-            index = retained.index(key)
+        reuse = None
+        oldest = None
+        oldest_time = 0
+        for b in self._buffers:
+            if b.occupant is not None:
+                continue
+            if b.retained_key == key:
+                reuse = b
+                break
+            if oldest is None or b.free_time < oldest_time:
+                oldest = b
+                oldest_time = b.free_time
+        if reuse is not None:
+            buffer = reuse
             fragment.reused = True
             fragment.fetched_count = fragment.static_frag.length
             fragment.fetch_cursor = len(fragment.static_frag.traversed_pcs)
@@ -224,12 +225,11 @@ class FragmentBufferArray:
             fragment.fetch_start_cycle = now
             self._counts["fragbuf.reuses"] += 1
         else:
-            index = times.index(min(times))
-        self._buffers[index].occupant = fragment
+            buffer = oldest
+        buffer.occupant = fragment
         self._free -= 1
-        retained[index] = None
-        times[index] = _BUSY
-        fragment.buffer_index = index
+        buffer.retained_key = None
+        fragment.buffer_index = buffer.index
         fragment.alloc_cycle = now
         self._counts["fragbuf.allocations"] += 1
         return True
@@ -237,16 +237,15 @@ class FragmentBufferArray:
     def release(self, fragment: FragmentInFlight, now: int,
                 retain: bool = True) -> None:
         """Mark the fragment's buffer unused, retaining contents."""
-        index = fragment.buffer_index
-        if index is None:
+        if fragment.buffer_index is None:
             return
-        buffer = self._buffers[index]
+        buffer = self._buffers[fragment.buffer_index]
         if buffer.occupant is fragment:
             buffer.occupant = None
             self._free += 1
-            self._free_times[index] = now
+            buffer.free_time = now
             if retain and fragment.complete:
-                self._retained[index] = fragment.key
+                buffer.retained_key = fragment.key
         fragment.buffer_index = None
 
     def occupants(self) -> List[FragmentInFlight]:

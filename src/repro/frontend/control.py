@@ -79,7 +79,6 @@ class FrontEndControl:
         self.predictor = predictor
         self.ras = ras
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         #: ``pc -> bool`` fallback direction source (bimodal predictor).
         self.direction_fallback = direction_fallback

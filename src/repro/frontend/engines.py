@@ -164,7 +164,6 @@ class TraceCacheFillEngine(FillEngine):
                  trace_cache: TraceCache, stats: StatsCollector,
                  width: int = 16):
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         self.trace_cache = trace_cache
         self._queue: Deque[FragmentInFlight] = deque()
@@ -240,7 +239,6 @@ class ParallelFillEngine(FillEngine):
                  stats: StatsCollector, sequencers: int,
                  sequencer_width: int):
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         self._pending: List[FragmentInFlight] = []
         self._sequencers: List[Sequencer] = [

@@ -43,7 +43,6 @@ class Sequencer:
         self.program = program
         self.memory = memory
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         line_bytes = memory.config.l1i.line_bytes
         self._line_shift = line_bytes.bit_length() - 1

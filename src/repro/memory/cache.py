@@ -29,7 +29,6 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = stats if stats is not None else StatsCollector()
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         self._line_shift = config.line_bytes.bit_length() - 1
         self._num_sets = config.num_sets

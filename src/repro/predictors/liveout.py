@@ -103,9 +103,6 @@ def memo_liveouts(memo: Dict[Tuple[FragmentKey, int], LiveOutInfo],
 #: One live-out table entry: ``(tag, info)``.
 _SetEntry = Tuple[int, LiveOutInfo]
 
-#: Keys the location memo keeps before it is wiped (a safety bound).
-_MEMO_CAP = 131072
-
 
 class LiveOutPredictor:
     """Set-associative live-out prediction table."""
@@ -114,30 +111,18 @@ class LiveOutPredictor:
                  stats: Optional[StatsCollector] = None):
         self.config = config
         self.stats = stats if stats is not None else StatsCollector()
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         self._num_sets = max(1, config.entries // config.assoc)
         self._tag_mask = (1 << config.tag_bits) - 1
         #: Per set, its ``(tag, info)`` entries in LRU order (oldest
         #: first); shared with clones, so replaced, never mutated.
         self._sets: List[Tuple[_SetEntry, ...]] = [()] * self._num_sets
-        #: ``key -> (set index, tag)`` memo: pure in the key for one
-        #: geometry, so clones share it; rename and commit locate the
-        #: same keys all run.
-        self._locations: Dict[FragmentKey, Tuple[int, int]] = {}
 
     def _locate(self, key: FragmentKey) -> Tuple[int, int]:
         """(set index, tag) for a fragment key."""
-        location = self._locations.get(key)
-        if location is None:
-            if len(self._locations) >= _MEMO_CAP:
-                self._locations.clear()
-            hashed = key.hash_id()
-            hashed ^= hashed >> 17
-            location = self._locations[key] = (
-                hashed % self._num_sets,
-                (hashed // self._num_sets) & self._tag_mask)
-        return location
+        hashed = key.hash_id()
+        hashed ^= hashed >> 17
+        return hashed % self._num_sets, (hashed // self._num_sets) & self._tag_mask
 
     def predict(self, key: FragmentKey) -> Optional[LiveOutInfo]:
         """Predicted live-outs for *key*, or None on a table miss."""
@@ -168,12 +153,10 @@ class LiveOutPredictor:
 
     def adopt_state(self, donor: "LiveOutPredictor") -> None:
         """Clone *donor*'s trained table and LRU order: one copy of its
-        list of per-set tuples, which both then share, and the shared
-        location memo."""
+        list of per-set tuples, which both then share."""
         if donor.config != self.config:
             raise ValueError("live-out config mismatch in adopt_state")
         self._sets = list(donor._sets)
-        self._locations = donor._locations
 
     def state_view(self) -> Tuple[Tuple[_SetEntry, ...], ...]:
         """Per set, its ``(tag, info)`` entries in LRU order (oldest

@@ -53,7 +53,6 @@ class TracePredictor:
                  stats: Optional[StatsCollector] = None):
         self.config = config
         self.stats = stats if stats is not None else StatsCollector()
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         self._primary: Dict[int, TableEntry] = {}
         self._secondary: Dict[int, TableEntry] = {}
@@ -200,6 +199,15 @@ class TracePredictor:
         self._index_cache = donor._index_cache
         self._history = donor._history
         self._retire_history = donor._retire_history
+
+    def __getstate__(self) -> dict:
+        """Pickled state without the ID and index memos: they are pure,
+        so an unpickled predictor (a restored checkpoint) refills them
+        and a snapshot file does not carry the live run's memos."""
+        state = dict(self.__dict__)
+        state["_id_cache"] = {}
+        state["_index_cache"] = {}
+        return state
 
     def state_view(self) -> Tuple[Dict[int, TableEntry],
                                   Dict[int, TableEntry]]:

@@ -25,7 +25,6 @@ class MonolithicRenamer:
         self.width = width
         self.window = window
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         #: Backend dispatch-pipeline latency, so a rename batch can
         #: stamp ``dispatch_ready_cycle`` at build time and hand the

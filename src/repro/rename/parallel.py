@@ -54,7 +54,6 @@ class ParallelRenamer:
         self.window = window
         self.liveout_predictor = liveout_predictor
         self.stats = stats
-        #: ``stats.counts``, incremented in place on the hot path.
         self._counts = self.stats.counts
         #: Backend dispatch-pipeline latency, so a rename batch can
         #: stamp ``dispatch_ready_cycle`` at build time and hand the

@@ -31,10 +31,11 @@ class StatsCollector:
 
     def __init__(self) -> None:
         #: The counters themselves, created at 0.0 on first use.  The
-        #: simulator's per-event hot paths hoist this dict and increment
-        #: it in place (``counts[name] += n``: what :meth:`add` does,
-        #: without the call); the dict is never replaced, only cleared
-        #: and refilled.
+        #: simulator's per-event hot paths keep a reference to this dict
+        #: (as ``_counts``) and increment it in place (``counts[name] +=
+        #: n``: what :meth:`add` does, without the call); rarer events
+        #: call :meth:`add`.  The dict is never replaced, only cleared
+        #: and refilled, so such a reference stays valid.
         self.counts: Dict[str, float] = defaultdict(float)
         #: Names written through :meth:`set` — point-in-time gauges
         #: (worker counts, wall-clock seconds, utilization).  Merging a
