@@ -79,7 +79,7 @@ DEFAULT_KEEP = 2
 #: Bump to invalidate on-disk snapshots when captured state changes shape
 #: (2: caches, trace cache and live-out sets pickle as per-set tuples,
 #: trace-predictor entries as ``(key, counter)`` tuples; 3: trace-predictor
-#: histories as tuples, without the predictor's memos).
+#: histories as tuples, without the predictor's ID memo).
 CHECKPOINT_VERSION = 3
 
 #: Process-wide checkpoint observability (thread-safe: library callers
@@ -158,10 +158,10 @@ class ProcessorSnapshot:
     config, then ``adopt_state``'d from the live processor), so the
     snapshot shares no mutable state with the running simulation and
     pickles without dragging the oracle stream or program along.  The
-    decode cache is deliberately not captured, nor are the trace
-    predictor's ID and index memos pickled: they are pure memos whose
-    contents never affect results (golden-parity tested), so a resumed
-    run simply re-fills them cold.
+    decode cache is deliberately not captured, nor is the trace
+    predictor's ID memo pickled: they are pure memos whose contents
+    never affect results (golden-parity tested), so a resumed run
+    simply re-fills them cold.
     """
 
     __slots__ = ("version", "fingerprint", "index", "now", "stats_state",

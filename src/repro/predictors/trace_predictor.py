@@ -15,8 +15,7 @@ fragment key as it goes and restores a snapshot on mispredictions.
 Training happens at retire time against a separate architectural history
 register, so wrong-path pollution never corrupts the tables.  Each
 history register is an immutable tuple of the newest ``depth + 1`` IDs,
-so a snapshot is the register itself, and the primary index of each
-distinct history is folded once (a memo clones share).
+so prediction, training and a snapshot read the register itself.
 
 A table entry is an immutable ``(key, counter)`` tuple, replaced whenever
 its key or counter changes, so a clone copies each table with one
@@ -34,10 +33,6 @@ from repro.stats import StatsCollector
 
 #: Saturating-counter ceiling (2-bit hysteresis).
 _COUNTER_MAX = 3
-
-#: Entries the ID and index memos keep before they are wiped (a safety
-#: bound: gcc at 120 000 instructions folds about 10 000 histories).
-_MEMO_CAP = 131072
 
 HistorySnapshot = Tuple[int, ...]
 
@@ -70,10 +65,6 @@ class TracePredictor:
         #: whole run and the mixing arithmetic is pure, so clones share
         #: their donor's memo.
         self._id_cache: Dict[FragmentKey, int] = {}
-        #: ``history -> primary index`` memo, pure in the history for
-        #: one geometry, so clones share it too: prediction and training
-        #: see the same histories, and the same ones recur all run.
-        self._index_cache: Dict[HistorySnapshot, int] = {}
         #: History register length: the newest ``depth + 1`` IDs.
         self._history_len = config.depth + 1
         #: Speculative history used for prediction (front-end state).
@@ -84,15 +75,6 @@ class TracePredictor:
     # -- index hashing -----------------------------------------------------
 
     def _index(self, history: HistorySnapshot) -> int:
-        """The primary-table index of *history* (memoised :meth:`_fold`)."""
-        index = self._index_cache.get(history)
-        if index is None:
-            if len(self._index_cache) >= _MEMO_CAP:
-                self._index_cache.clear()
-            index = self._index_cache[history] = self._fold(history)
-        return index
-
-    def _fold(self, history: HistorySnapshot) -> int:
         """Fold a history of fragment IDs into a primary-table index."""
         value = 0
         if history:
@@ -124,7 +106,7 @@ class TracePredictor:
         """Memoised ``key.hash_id()`` (pure, and keys recur all run)."""
         cached = self._id_cache.get(key)
         if cached is None:
-            if len(self._id_cache) >= _MEMO_CAP:
+            if len(self._id_cache) >= 131072:
                 self._id_cache.clear()
             cached = self._id_cache[key] = key.hash_id()
         return cached
@@ -187,26 +169,24 @@ class TracePredictor:
         predictor.
 
         Entries and histories are immutable tuples, so each table is
-        one ``dict`` copy that shares them, and the ID and index memos,
-        pure functions of the key and the history, are shared outright.
-        Requires identical geometry.
+        one ``dict`` copy that shares them, and the ID memo, a pure
+        function of the key, is shared outright.  Requires identical
+        geometry.
         """
         if donor.config != self.config:
             raise ValueError("trace-predictor config mismatch in adopt_state")
         self._primary = dict(donor._primary)
         self._secondary = dict(donor._secondary)
         self._id_cache = donor._id_cache
-        self._index_cache = donor._index_cache
         self._history = donor._history
         self._retire_history = donor._retire_history
 
     def __getstate__(self) -> dict:
-        """Pickled state without the ID and index memos: they are pure,
-        so an unpickled predictor (a restored checkpoint) refills them
-        and a snapshot file does not carry the live run's memos."""
+        """Pickled state without the ID memo: it is pure, so an
+        unpickled predictor (a restored checkpoint) refills it and a
+        snapshot file does not carry the live run's memo."""
         state = dict(self.__dict__)
         state["_id_cache"] = {}
-        state["_index_cache"] = {}
         return state
 
     def state_view(self) -> Tuple[Dict[int, TableEntry],

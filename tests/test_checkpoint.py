@@ -153,17 +153,17 @@ class TestSnapshotRoundTrip:
         donor.run_until(LENGTH)
         assert dict(snap.stats_state[0]) == counters_then
 
-    def test_snapshot_file_leaves_out_the_predictor_memos(self):
-        """The trace predictor's ID and index memos are pure, so a
-        pickled snapshot carries neither, only the trained state."""
+    def test_snapshot_file_leaves_out_the_predictor_memo(self):
+        """The trace predictor's ID memo is pure, so a pickled snapshot
+        carries only the trained state."""
         donor = make_processor()
         warm_processor(donor, donor._oracle)
         donor.run_until(1500)
         live = donor.trace_predictor
-        assert live._id_cache and live._index_cache
+        assert live._id_cache
         snap = ProcessorSnapshot.capture(donor, "fp")
         loaded = pickle.loads(pickle.dumps(snap)).trace_predictor
-        assert loaded._id_cache == {} and loaded._index_cache == {}
+        assert loaded._id_cache == {}
         assert loaded.state_view() == live.state_view()
         assert loaded.snapshot_history() == live.snapshot_history()
         assert loaded._retire_history == live._retire_history

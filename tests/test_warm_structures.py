@@ -7,11 +7,9 @@ donor it was adopted from (docs/DATA_LAYOUT.md § 11).  Three concerns:
 
 * **Reference models** — each structure matches its former
   implementation, kept here (an ``OrderedDict`` per set, a mutable
-  ``_Entry`` per predictor entry, the trace predictor's unmemoised
-  index fold), in results, counters and LRU order over random access
-  sequences, and the memoised index matches the fold for every history
-  length, after ``restore_history`` and across clones sharing the memo.
-  The cache's own reference test is
+  ``_Entry`` per predictor entry, a bounded ``deque`` per trace-predictor
+  history register), in results, counters, LRU order and histories over
+  random operation sequences.  The cache's own reference test is
   ``tests/test_memory.py::test_lru_matches_reference_model``.
 * **Isolation** — running a sibling leaves its donor's state unchanged.
 * **Bytes per sibling** — a sibling's warm state, construction plus
@@ -19,7 +17,7 @@ donor it was adopted from (docs/DATA_LAYOUT.md § 11).  Three concerns:
 """
 
 import tracemalloc
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 
 from hypothesis import given, settings, strategies as st
 
@@ -129,28 +127,31 @@ class _Entry:
         self.counter = 1
 
 
-def reference_fold(config, history):
-    """The trace predictor's primary index of *history*, folded afresh
-    on every call as the predictor did before it memoised the fold."""
-    value = 0
-    if history:
-        value ^= history[-1] & ((1 << config.current_bits) - 1)
-    if len(history) >= 2:
-        value ^= (history[-2] & ((1 << config.last_bits) - 1)) << 2
-    shift_mod = max(1, config.current_bits + 4)
-    for i, older_id in enumerate(history[:-2][-config.depth:]):
-        value ^= ((older_id & ((1 << config.older_bits) - 1))
-                  << ((i * config.older_bits + 4) % shift_mod))
-    return value & (config.primary_entries - 1)
-
-
 class ReferenceTracePredictor(TracePredictor):
     """The trace predictor with one mutable ``_Entry`` per table entry
-    and the unmemoised index fold (histories are the real
-    predictor's)."""
+    and a bounded ``deque`` per history register (index hashing is the
+    real predictor's)."""
 
-    def _index(self, history):
-        return reference_fold(self.config, history)
+    def __init__(self, config):
+        super().__init__(config)
+        self._history = deque(maxlen=config.depth + 1)
+        self._retire_history = deque(maxlen=config.depth + 1)
+
+    def snapshot_history(self):
+        return tuple(self._history)
+
+    def restore_history(self, snapshot):
+        self._history = deque(snapshot, maxlen=self.config.depth + 1)
+
+    def push_history(self, key):
+        self._history.append(self._hash_id(key))
+
+    def train(self, actual):
+        history = tuple(self._retire_history)
+        self._train_table(self._primary, self._index(history), actual)
+        self._train_table(self._secondary, self._secondary_index(history),
+                          actual)
+        self._retire_history.append(self._hash_id(actual))
 
     def predict(self):
         history = tuple(self._history)
@@ -233,31 +234,6 @@ def test_liveout_predictor_matches_reference_model(geometry, ops):
     assert counts(predictor.stats) == dict(reference.counts)
 
 
-@given(st.lists(st.tuples(st.sampled_from(["train", "predict", "push"]),
-                          key_indices), max_size=200))
-@settings(max_examples=60, deadline=None)
-def test_trace_predictor_matches_reference_model(ops):
-    """Predictions, hysteresis holds and every table entry's key and
-    counter match the ``_Entry`` predictor after every operation."""
-    config = TracePredictorConfig(primary_entries=16, secondary_entries=4,
-                                  depth=2, older_bits=2, last_bits=2,
-                                  current_bits=3)
-    predictor, reference = (TracePredictor(config),
-                            ReferenceTracePredictor(config))
-    for op, index in ops:
-        key = KEYS[index]
-        if op == "train":
-            predictor.train(key)
-            reference.train(key)
-        elif op == "predict":
-            assert predictor.predict() == reference.predict()
-        else:
-            predictor.push_history(key)
-            reference.push_history(key)
-        assert predictor.state_view() == reference.state_view()
-    assert predictor.stats.as_dict() == reference.stats.as_dict()
-
-
 #: The Table 1 geometry (DOLC 9-4-7-9) and a small one whose older IDs
 #: wrap their shifts.
 PREDICTOR_CONFIGS = (TracePredictorConfig(),
@@ -265,40 +241,62 @@ PREDICTOR_CONFIGS = (TracePredictorConfig(),
                                           secondary_entries=4, depth=2,
                                           older_bits=2, last_bits=2,
                                           current_bits=3))
-fragment_ids = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @given(st.sampled_from(PREDICTOR_CONFIGS),
-       st.lists(st.lists(fragment_ids, max_size=11), min_size=1,
-                max_size=20))
-@settings(max_examples=80, deadline=None)
-def test_trace_predictor_index_matches_reference_fold(config, histories):
-    """Every history of 0 to ``depth + 1`` IDs, restored into a donor or
-    into a clone sharing its memo, indexes as the unmemoised fold
-    does, however often it recurs."""
-    donor = TracePredictor(config)
-    clone = TracePredictor(config)
-    clone.adopt_state(donor)
-    assert clone._index_cache is donor._index_cache
-    for ids in histories:
-        for predictor in (donor, clone, donor):
-            predictor.restore_history(tuple(ids))
-            history = predictor.snapshot_history()
-            assert history == tuple(ids)[-(config.depth + 1):]
-            assert predictor._index(history) == reference_fold(config,
-                                                               history)
-    assert len(donor._index_cache) <= len(histories)
+       st.lists(st.tuples(st.sampled_from(["train", "predict", "push",
+                                           "snapshot", "restore"]),
+                          key_indices), max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_trace_predictor_matches_reference_model(config, ops):
+    """Predictions, hysteresis holds, every table entry's key and
+    counter, and both history registers (0 to ``depth + 1`` IDs, also
+    after ``restore_history``) match the reference predictor after
+    every operation."""
+    predictor, reference = (TracePredictor(config),
+                            ReferenceTracePredictor(config))
+    snapshots = [((), ())]
+    for op, index in ops:
+        key = KEYS[index]
+        if op == "train":
+            predictor.train(key)
+            reference.train(key)
+        elif op == "predict":
+            assert predictor.predict() == reference.predict()
+        elif op == "push":
+            predictor.push_history(key)
+            reference.push_history(key)
+        elif op == "snapshot":
+            snapshots.append((predictor.snapshot_history(),
+                              reference.snapshot_history()))
+        else:
+            mine, theirs = snapshots[index % len(snapshots)]
+            predictor.restore_history(mine)
+            reference.restore_history(theirs)
+        assert predictor.state_view() == reference.state_view()
+        assert predictor.snapshot_history() == reference.snapshot_history()
+        assert predictor._retire_history == tuple(reference._retire_history)
+    assert predictor.stats.as_dict() == reference.stats.as_dict()
 
 
-def test_trace_predictor_index_memo_is_bounded(monkeypatch):
-    """The index memo is wiped at its cap, and indexes stay exact."""
-    monkeypatch.setattr(trace_predictor_module, "_MEMO_CAP", 4)
-    config = PREDICTOR_CONFIGS[0]
-    predictor = TracePredictor(config)
-    for n in range(40):
-        history = tuple(range(n, n + n % (config.depth + 2)))
-        assert predictor._index(history) == reference_fold(config, history)
-        assert len(predictor._index_cache) <= 4
+def test_history_registers_keep_the_newest_ids():
+    """Both registers keep the newest ``depth + 1`` IDs, as the bounded
+    deques did, however many were pushed, trained or restored."""
+    config = PREDICTOR_CONFIGS[1]
+    predictor, reference = (TracePredictor(config),
+                            ReferenceTracePredictor(config))
+    for key in KEYS:
+        for model in (predictor, reference):
+            model.push_history(key)
+            model.train(key)
+        assert predictor.snapshot_history() == reference.snapshot_history()
+        assert predictor._retire_history == tuple(reference._retire_history)
+    assert len(predictor.snapshot_history()) == config.depth + 1
+    longer = tuple(range(config.depth + 4))
+    predictor.restore_history(longer)
+    reference.restore_history(longer)
+    assert (predictor.snapshot_history() == reference.snapshot_history()
+            == longer[-(config.depth + 1):])
 
 
 def views(holder):
